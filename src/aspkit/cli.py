@@ -64,7 +64,12 @@ def _solver_flags(sub: argparse.ArgumentParser) -> None:
 
 def _limit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--limit-atoms", type=int, default=DEFAULT_LIMITS.max_candidate_atoms)
-    sub.add_argument("--limit-rules", type=int, default=DEFAULT_LIMITS.max_ground_rules)
+    sub.add_argument(
+        "--limit-rules",
+        type=int,
+        default=DEFAULT_LIMITS.max_ground_rules,
+        help="most ground instances kept; solve keeps only those with a derivable positive body",
+    )
 
 
 def _limits(args) -> EvaluationLimits:

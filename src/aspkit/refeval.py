@@ -1,4 +1,4 @@
-"""Reference evaluator: naive grounding and exhaustive answer-set enumeration.
+"""Reference evaluator: grounding and exhaustive answer-set enumeration.
 
 Semantics implemented here, over ground programs:
 
@@ -15,6 +15,13 @@ Semantics implemented here, over ground programs:
 Everything is computed by brute force over an explicitly bounded candidate
 space; this module trades speed for being small enough to audit, and doubles
 as the test oracle for the rest of the package.
+
+Grounding has two modes. The naive one tries every substitution over the
+universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
+(``answer_sets`` and everything built on it) grounds in relevance mode: only
+the instances whose positive body is derivable, found by a semi-naive join
+against the derivable atoms. The other instances can never fire, so the
+answer sets and costs are the same; the naive mode stays the oracle.
 """
 
 from __future__ import annotations
@@ -235,14 +242,24 @@ def ground_program(
     program: Program,
     limits: EvaluationLimits = DEFAULT_LIMITS,
     deadline: float | None = None,
+    *,
+    relevant: bool = False,
 ) -> GroundProgram:
-    """Instantiate every rule under all substitutions over the universe.
+    """Instantiate every statement over the universe.
 
     Builtins are then evaluated away: a false builtin deletes the instance, a
     true one is dropped from the body. Ground weak constraints additionally
     require weight and level to come out as non-negative integers; other
     instances are discarded. Exact duplicate weak-constraint instances are
     kept once (they are a set; duplicates would double-charge costs).
+
+    By default every substitution over the universe is tried (the naive
+    grounding, printed by ``aspkit ground`` and used by ``check``). With
+    ``relevant`` only the instances whose positive body lies inside the
+    derivable set are returned, in no particular order: the least set of atoms
+    closed under the heads of such instances, ignoring negation. Instances
+    outside it can never fire, so answer sets and costs do not change.
+    ``max_ground_rules`` counts the instances actually kept in either mode.
     """
     universe = sorted(herbrand_universe(program), key=_term_sort_key)
     nconst = len(universe)
@@ -255,40 +272,77 @@ def ground_program(
         if total_subs > substitution_budget:
             raise LimitExceeded("grounding substitutions", total_subs, substitution_budget)
 
-    cache: dict = {}
-    rules: list[GroundRule] = []
-    weaks: list[GroundWeakConstraint] = []
-    seen_weaks: set = set()
-    retained = 0
-    ticks = 0
+    out = _Instances(limits, deadline)
+    if relevant:
+        _ground_relevant(program, universe, out)
+    else:
+        for rule in program.rules:
+            if rule.is_fact:
+                out.add_fact(rule.head[0])
+            else:
+                out.add_rules(rule, _all_substitutions(rule, universe), rule.builtins())
+        for weak in program.weak_constraints:
+            out.add_weaks(weak, _all_substitutions(weak, universe), weak.builtins())
+    return GroundProgram(rules=tuple(out.rules), weak_constraints=tuple(out.weaks))
 
-    def check_deadline():
-        if deadline is not None and time.monotonic() > deadline:
+
+def _all_substitutions(stmt, universe):
+    names = stmt.variables()
+    for combo in itertools.product(universe, repeat=len(names)):
+        yield dict(zip(names, combo))
+
+
+_NO_ATOMS: frozenset[Atom] = frozenset()
+
+
+class _Instances:
+    """Ground instances built from substitutions, for both grounding modes.
+
+    Substitutions are read once and not kept, so a producer may hand out the
+    same dict object again after changing it.
+    """
+
+    def __init__(self, limits: EvaluationLimits, deadline: float | None):
+        self.limits = limits
+        self.deadline = deadline
+        self.rules: list[GroundRule] = []
+        self.weaks: list[GroundWeakConstraint] = []
+        self._seen_weaks: set[GroundWeakConstraint] = set()
+        self._cache: dict = {}
+        self._retained = 0
+        self._ticks = 0
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolverTimeout("grounding deadline exceeded")
 
-    def substitutions(stmt):
-        nonlocal ticks
-        names = stmt.variables()
-        if not names:
-            yield {}
-            return
-        for combo in itertools.product(universe, repeat=len(names)):
-            ticks += 1
-            if ticks % 8192 == 0:
-                check_deadline()
-            yield dict(zip(names, combo))
+    def _tick(self) -> None:
+        self._ticks += 1
+        if self._ticks % 8192 == 0:
+            self.check_deadline()
 
-    for rule in program.rules:
-        builtins = rule.builtins()
+    def _retain(self) -> None:
+        self._retained += 1
+        if self._retained > self.limits.max_ground_rules:
+            raise LimitExceeded(
+                "ground rule instances", self._retained, self.limits.max_ground_rules
+            )
+
+    def add_fact(self, atom: Atom) -> None:
+        self._tick()
+        self._retain()
+        self.rules.append(GroundRule(head=frozenset((atom,)), pos=_NO_ATOMS, neg=_NO_ATOMS))
+
+    def add_rules(self, rule, subs, builtins) -> None:
         pos_atoms = rule.positive_body_atoms()
         neg_atoms = rule.negative_body_atoms()
-        for sub in substitutions(rule):
+        cache = self._cache
+        for sub in subs:
+            self._tick()
             if any(not eval_builtin(b, sub) for b in builtins):
                 continue
-            retained += 1
-            if retained > limits.max_ground_rules:
-                raise LimitExceeded("ground rule instances", retained, limits.max_ground_rules)
-            rules.append(
+            self._retain()
+            self.rules.append(
                 GroundRule(
                     head=frozenset(_instantiate(a, sub, cache) for a in rule.head),
                     pos=frozenset(_instantiate(a, sub, cache) for a in pos_atoms),
@@ -296,11 +350,12 @@ def ground_program(
                 )
             )
 
-    for weak in program.weak_constraints:
-        builtins = weak.builtins()
+    def add_weaks(self, weak, subs, builtins) -> None:
         pos_atoms = weak.positive_body_atoms()
         neg_atoms = weak.negative_body_atoms()
-        for sub in substitutions(weak):
+        cache = self._cache
+        for sub in subs:
+            self._tick()
             weight = _ground_value(weak.weight, sub)
             level = _ground_value(weak.level, sub)
             if not isinstance(weight, Integer) or not isinstance(level, Integer):
@@ -315,15 +370,232 @@ def ground_program(
                 weight=weight.value,
                 level=level.value,
             )
-            if instance in seen_weaks:
+            if instance in self._seen_weaks:
                 continue
-            seen_weaks.add(instance)
-            retained += 1
-            if retained > limits.max_ground_rules:
-                raise LimitExceeded("ground rule instances", retained, limits.max_ground_rules)
-            weaks.append(instance)
+            self._seen_weaks.add(instance)
+            self._retain()
+            self.weaks.append(instance)
 
-    return GroundProgram(rules=tuple(rules), weak_constraints=tuple(weaks))
+
+# Where a positive body atom of a join finds its matches, in semi-naive
+# evaluation: the atoms new in the last round, the ones derived before it, or
+# both.
+_DELTA, _OLD, _ALL = range(3)
+
+
+class _AtomIndex:
+    """Derivable atoms by signature, hashed on the argument positions a join binds."""
+
+    def __init__(self):
+        self._atoms: set[Atom] = set()
+        # signature -> bound positions -> their values -> atoms; () -> () -> all
+        self._indexes: dict[tuple[str, int], dict[tuple, dict[tuple, list[Atom]]]] = {}
+
+    def add(self, atoms) -> list[Atom]:
+        """Add ``atoms``; returns the ones that were not there yet."""
+        new = []
+        for atom in atoms:
+            if atom in self._atoms:
+                continue
+            self._atoms.add(atom)
+            new.append(atom)
+            by_positions = self._indexes.get(atom.signature)
+            if by_positions is None:
+                by_positions = self._indexes[atom.signature] = {(): {}}
+            for positions, index in by_positions.items():
+                index.setdefault(tuple(atom.terms[p] for p in positions), []).append(atom)
+        return new
+
+    def lookup(self, sig: tuple[str, int], positions: tuple[int, ...], key: tuple) -> list[Atom]:
+        by_positions = self._indexes.get(sig)
+        if by_positions is None:
+            return []
+        index = by_positions.get(positions)
+        if index is None:
+            index = by_positions[positions] = {}
+            for atom in by_positions[()].get((), ()):
+                index.setdefault(tuple(atom.terms[p] for p in positions), []).append(atom)
+        return index.get(key, [])
+
+
+def _operand_vars(operand: Term | Sum) -> set[str]:
+    terms = (operand.lhs, operand.rhs) if isinstance(operand, Sum) else (operand,)
+    return {t.name for t in terms if isinstance(t, Variable)}
+
+
+def _join_plan(stmt, sources: list[int]) -> list[tuple]:
+    """Steps that enumerate the substitutions of ``stmt`` against derivable atoms.
+
+    ``sources[i]`` says where the i-th positive body atom finds its matches;
+    a ``_DELTA`` atom is matched first. The others follow greedily, most bound
+    argument positions first. Each builtin runs as soon as its variables are
+    bound; ``X = t`` with ``t`` bound binds X instead of testing. Variables no
+    positive atom or assignment binds (unsafe statements only) range over the
+    universe at the end.
+    """
+    atoms = list(zip(stmt.positive_body_atoms(), sources))
+    pending = list(stmt.builtins())
+    bound: set[str] = set()
+    steps: list[tuple] = []
+
+    def settle():
+        progress = True
+        while progress:
+            progress = False
+            for b in pending:
+                if _operand_vars(b.lhs) | _operand_vars(b.rhs) <= bound:
+                    steps.append(("test", b))
+                else:
+                    target = _assignment(b, bound)
+                    if target is None:
+                        continue
+                    steps.append(("assign", *target))
+                    bound.add(target[0])
+                pending.remove(b)
+                progress = True
+                break
+
+    def rank(item):
+        atom, source = item
+        unbound = {t.name for t in atom.terms if isinstance(t, Variable)} - bound
+        fixed = sum(not isinstance(t, Variable) or t.name in bound for t in atom.terms)
+        return (source != _DELTA, bool(unbound), -fixed)
+
+    settle()
+    while atoms:
+        atom, source = min(atoms, key=rank)
+        atoms.remove((atom, source))
+        checks, binds = [], []
+        for pos, t in enumerate(atom.terms):
+            if isinstance(t, Variable) and t.name not in bound:
+                binds.append((pos, t.name))
+            else:
+                checks.append((pos, t))
+        steps.append(("atom", atom.signature, source, tuple(checks), tuple(binds)))
+        bound.update(name for _, name in binds)
+        settle()
+    free = [name for name in stmt.variables() if name not in bound]
+    if free:
+        steps.append(("free", free))
+        bound.update(free)
+        settle()
+    return steps
+
+
+def _assignment(b: Builtin, bound: set[str]):
+    """(variable, operand) when ``b`` is ``X = t`` or ``t = X``, X unbound, t bound."""
+    if b.op != "=":
+        return None
+    for side, other in ((b.lhs, b.rhs), (b.rhs, b.lhs)):
+        if isinstance(side, Variable) and side.name not in bound and _operand_vars(other) <= bound:
+            return side.name, other
+    return None
+
+
+def _ground_relevant(program: Program, universe: list[Term], out: _Instances) -> None:
+    """Ground only instances whose positive body is derivable (semi-naive).
+
+    Rules with an empty positive body, facts among them, are instantiated
+    once. Rules with heads then run to a fixpoint: in each round a rule joins
+    its positive body against the derivable atoms, with at least one atom new
+    in the last round, so each instance is produced exactly once. Constraints
+    and weak constraints are joined once against the final derivable set.
+    """
+    by_value = {_operand_value(t, {}): t for t in universe}
+    derivable = _AtomIndex()
+    delta_by_sig: dict[tuple[str, int], list[Atom]] = {}
+    delta: set[Atom] = set()
+
+    def run(steps, k, sub):
+        if k == len(steps):
+            yield sub
+            return
+        step = steps[k]
+        kind = step[0]
+        if kind == "atom":
+            _, sig, source, checks, binds = step
+            key = tuple(sub[t.name] if isinstance(t, Variable) else t for _, t in checks)
+            if source == _DELTA:
+                matches = [
+                    a for a in delta_by_sig.get(sig, ())
+                    if all(a.terms[p] == v for (p, _), v in zip(checks, key))
+                ]
+            else:
+                matches = derivable.lookup(sig, tuple(p for p, _ in checks), key)
+            for atom in matches:
+                if source == _OLD and atom in delta:
+                    continue
+                added = []
+                for pos, name in binds:
+                    value = sub.get(name)
+                    if value is None:
+                        sub[name] = atom.terms[pos]
+                        added.append(name)
+                    elif value != atom.terms[pos]:
+                        break
+                else:
+                    yield from run(steps, k + 1, sub)
+                for name in added:
+                    del sub[name]
+        elif kind == "test":
+            if eval_builtin(step[1], sub):
+                yield from run(steps, k + 1, sub)
+        elif kind == "assign":
+            _, name, operand = step
+            term = by_value.get(_operand_value(operand, sub))
+            if term is not None:
+                sub[name] = term
+                yield from run(steps, k + 1, sub)
+                del sub[name]
+        else:
+            names = step[1]
+            for combo in itertools.product(universe, repeat=len(names)):
+                sub.update(zip(names, combo))
+                yield from run(steps, k + 1, sub)
+            for name in names:
+                sub.pop(name, None)
+
+    def against_all(stmt):
+        return run(_join_plan(stmt, [_ALL] * len(stmt.positive_body_atoms())), 0, {})
+
+    def add_derived(start: int) -> list[Atom]:
+        return derivable.add(a for r in out.rules[start:] for a in r.head)
+
+    out.check_deadline()
+    recursive = []
+    for rule in program.rules:
+        n = len(rule.positive_body_atoms())
+        if rule.is_fact:
+            out.add_fact(rule.head[0])
+        elif rule.head and not n:
+            out.add_rules(rule, against_all(rule), ())
+        elif rule.head:
+            plans = [
+                _join_plan(rule, [_OLD] * i + [_DELTA] + [_ALL] * (n - i - 1))
+                for i in range(n)
+            ]
+            recursive.append((rule, plans))
+    new = add_derived(0)
+
+    while new:
+        out.check_deadline()
+        delta = set(new)
+        delta_by_sig = {}
+        for atom in new:
+            delta_by_sig.setdefault(atom.signature, []).append(atom)
+        start = len(out.rules)
+        for rule, plans in recursive:
+            for atom, steps in zip(rule.positive_body_atoms(), plans):
+                if atom.signature in delta_by_sig:
+                    out.add_rules(rule, run(steps, 0, {}), ())
+        new = add_derived(start)
+
+    out.check_deadline()
+    for rule in program.rules:
+        if not rule.head:
+            out.add_rules(rule, against_all(rule), ())
+    for weak in program.weak_constraints:
+        out.add_weaks(weak, against_all(weak), ())
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +860,16 @@ def answer_sets(
 ) -> list[AnswerSet]:
     """Every answer set exactly once, with its cost, in canonical render order.
 
-    Candidates are the subsets of the derivable (positively reachable) atoms
-    of the grounding with facts forced in; every candidate is checked to be a
+    The program is grounded in relevance mode: only instances whose positive
+    body is derivable. Candidates are the subsets of the derivable
+    (positively reachable) atoms of the grounding with facts forced in;
+    every candidate is checked to be a
     model of the grounding and minimal among the models of its own reduct.
     The derivability restriction is sound because answer-set atoms need rules
     with true bodies deriving them; the oracle-equivalence tests validate it
     against unpruned enumeration.
     """
-    gp = ground_program(program, limits, deadline=deadline)
+    gp = ground_program(program, limits, deadline=deadline, relevant=True)
     return _answer_sets_of_ground(gp, limits, deadline)
 
 

@@ -168,24 +168,36 @@ _DLV_PAIR_RE = re.compile(r"\[(\d+):(\d+)\]")
 
 
 def _split_model_line(interior: str, line: str) -> frozenset[Atom]:
+    """Atoms of a DLV model line, split at commas outside parentheses and quotes."""
     if not interior.strip():
         return frozenset()
     atoms: list[Atom] = []
     depth = 0
+    quoted = False
     current = []
     for ch in interior + ",":
-        if ch == "," and depth == 0:
+        if quoted:
+            quoted = ch != '"'
+        elif ch == '"':
+            quoted = True
+        elif ch == "," and depth == 0:
             token = "".join(current).strip()
             if not token:
                 raise MalformedOutput(line, "empty atom between commas")
             atoms.append(_parse_witness_atom(token, line))
             current = []
             continue
-        if ch == "(":
+        elif ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
+            if depth < 0:
+                raise MalformedOutput(line, "unbalanced parentheses")
         current.append(ch)
+    if quoted:
+        raise MalformedOutput(line, "unterminated quoted string")
+    if depth:
+        raise MalformedOutput(line, "unbalanced parentheses")
     return frozenset(atoms)
 
 
@@ -286,9 +298,7 @@ def invoke_solver(
             raise NonzeroExit(proc.returncode, proc.stderr)
         return proc.stdout
     finally:
-        if os.environ.get(ENV_KEEP_TEMP):
-            pass
-        else:
+        if not os.environ.get(ENV_KEEP_TEMP):
             try:
                 os.unlink(path)
             except OSError:

@@ -184,6 +184,18 @@ class TestDlvOutputParsing:
         with pytest.raises(MalformedOutput):
             parse_dlv_output("Cost ([Weight:Level]): <[1:1]>")
 
+    def test_parentheses_and_commas_inside_quotes(self):
+        parsed = parse_dlv_output('{p("a)"), q(1), r("x,(y", 2)}')
+        [answer] = parsed.sets
+        assert sorted(map(str, answer.atoms)) == ['p("a)")', "q(1)", 'r("x,(y",2)']
+
+    @pytest.mark.parametrize(
+        "line", ['{p("a), q(1)}', "{p(a)), q(1)}", "{p(a, q(1)}", "{p(a)), (q(1)}"]
+    )
+    def test_unbalanced_model_line(self, line):
+        with pytest.raises(MalformedOutput):
+            parse_dlv_output(line)
+
 
 class TestReferenceSolver:
     def test_disjunction_enumerated(self):
