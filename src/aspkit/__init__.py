@@ -1,8 +1,10 @@
 """aspkit: answer set programming toolkit.
 
-A small rule-language front end, a brute-force reference evaluator for
-answer-set semantics with weak-constraint optimization, a declarative
-record/fact mapper, and orchestration for running external ASP solvers.
+A small rule-language front end, a reference evaluator for answer-set
+semantics with weak-constraint optimization (bounded backtracking over the
+candidate atoms, a least-model minimality check with a subset search for
+head cycles), a declarative record/fact mapper, and orchestration for
+running external ASP solvers.
 """
 
 from .errors import AspkitError, LimitExceeded, ParseError, SafetyError

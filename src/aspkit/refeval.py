@@ -1,4 +1,4 @@
-"""Reference evaluator: grounding and exhaustive answer-set enumeration.
+"""Reference evaluator: grounding and bounded answer-set enumeration.
 
 Semantics implemented here, over ground programs:
 
@@ -12,9 +12,14 @@ Semantics implemented here, over ground programs:
 * weak constraints charge their weight at their level when their body holds,
   and answer sets are ranked lexicographically by level, higher levels first.
 
-Everything is computed by brute force over an explicitly bounded candidate
-space; this module trades speed for being small enough to audit, and doubles
-as the test oracle for the rest of the package.
+Everything is computed over an explicitly bounded candidate space: the
+``2^n`` subsets of ``n`` candidate atoms, with ``max_candidate_atoms``
+capping ``n``. Enumeration is a backtracking search over that space that
+drops a partial assignment as soon as it violates a rule. Minimality is a
+least-model check of the reduct, with a search of the smaller candidates
+only when head cycles leave it undecided. This module trades speed for being
+small enough to audit, and doubles as the test oracle for the rest of the
+package.
 
 Grounding has two modes. The naive one tries every substitution over the
 universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
@@ -742,24 +747,80 @@ def _is_model_mask(m: int, folded) -> bool:
     return True
 
 
-def _has_smaller_model(m: int, folded, deadline: float | None) -> bool:
-    """Any proper submask of ``m`` that models the reduct w.r.t. ``m``?"""
-    reduct_masks = [
+def _models(n: int, folded, deadline: float | None):
+    """Every mask over ``n`` bits that satisfies the folded rules, by depth-first search.
+
+    Bits are assigned from the lowest up. Each rule sits in the bucket of its
+    highest bit and is checked as soon as that bit is assigned, so a partial
+    mask that violates it is dropped with every extension. A rule with no bits
+    is violated by every mask.
+    """
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for head, pos, neg in folded:
+        bits = head | pos | neg
+        if not bits:
+            return
+        buckets[bits.bit_length() - 1].append((pos, head | neg))
+    stack = [(0, 0)]
+    ticks = 0
+    while stack:
+        if deadline is not None and ticks % 2048 == 0 and time.monotonic() > deadline:
+            raise SolverTimeout("enumeration deadline exceeded")
+        ticks += 1
+        i, m = stack.pop()
+        if i == n:
+            yield m
+            continue
+        for ext in (m | 1 << i, m):
+            for pos, out in buckets[i]:
+                if (ext & pos) == pos and not (ext & out):
+                    break
+            else:
+                stack.append((i + 1, ext))
+
+
+def _must_atoms(m: int, reduct) -> int:
+    """Least mask closed under reduct rules whose positive body it contains and
+    whose head meets ``m`` in a single atom: that atom is added.
+
+    Every model of the reduct inside ``m`` contains it.
+    """
+    units = [(head & m, pos) for head, pos, _ in reduct if (head & m).bit_count() == 1]
+    must = 0
+    while True:
+        grown = must
+        for head, pos in units:
+            if (grown & pos) == pos:
+                grown |= head
+        if grown == must:
+            return must
+        must = grown
+
+
+def _has_smaller_model(m: int, folded, deadline: float | None = None) -> bool:
+    """Any proper submask of ``m`` that models the reduct w.r.t. ``m``?
+
+    When ``_must_atoms`` is all of ``m`` there is none; for normal and
+    head-cycle-free programs this is the least-model check (Ben-Eliyahu &
+    Dechter 1994) and decides every answer set. Otherwise the proper submasks
+    of ``m`` that contain it are searched, which only head cycles can pass.
+    """
+    reduct = [
         (head, pos, neg)
         for head, pos, neg in folded
         if (m & pos) == pos and not (m & neg)
     ]
-    sub = m
+    must = _must_atoms(m, reduct)
+    free = m & ~must
+    sub = free
     ticks = 0
     while sub:
-        sub = (sub - 1) & m
-        ticks += 1
         if deadline is not None and ticks % 8192 == 0 and time.monotonic() > deadline:
             raise SolverTimeout("enumeration deadline exceeded")
-        if _is_model_mask(sub, reduct_masks):
+        ticks += 1
+        sub = (sub - 1) & free
+        if _is_model_mask(must | sub, reduct):
             return True
-        if sub == 0:
-            break
     return False
 
 
@@ -780,7 +841,7 @@ def minimal_models(
     limits: EvaluationLimits = DEFAULT_LIMITS,
     deadline: float | None = None,
 ) -> list[frozenset[Atom]]:
-    """All subset-minimal models of the ground rules, by subset enumeration.
+    """All subset-minimal models of the ground rules, from the backtracking search.
 
     Candidates range over every atom occurring in the program (facts forced
     in); returned in canonical rendering order.
@@ -798,15 +859,8 @@ def minimal_models(
     space = _MaskSpace(candidates, forced, frozenset(occurring) | forced)
     folded = space.fold_rules(gp.rules)
 
-    models: list[int] = []
-    for m in range(1 << len(candidates)):
-        if deadline is not None and m % 4096 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout("enumeration deadline exceeded")
-        if _is_model_mask(m, folded):
-            models.append(m)
-
     minimal: list[int] = []
-    for m in sorted(models, key=lambda x: x.bit_count()):
+    for m in sorted(_models(len(candidates), folded, deadline), key=lambda x: x.bit_count()):
         if not any((k & m) == k for k in minimal):
             minimal.append(m)
     return sorted((space.atoms_of(m) for m in minimal), key=render_interpretation)
@@ -827,29 +881,13 @@ def is_answer_set(
     removable = sorted(interpretation - facts, key=str)
     if len(removable) > limits.max_candidate_atoms:
         raise LimitExceeded("candidate atoms", len(removable), limits.max_candidate_atoms)
-    bit = {atom: 1 << i for i, atom in enumerate(removable)}
-
-    # Reduct w.r.t. the interpretation: bodies are true, so positive atoms are
-    # within interpretation and negatives are outside it; for subsets the
-    # negative literals stay true and can be dropped.
-    reduct_masks: list[tuple[int, int]] = []
-    for r in gp.rules:
-        if not body_true(r, interpretation):
-            continue
-        if r.head & facts:
-            continue
-        head = sum(bit[a] for a in r.head if a in bit)
-        pos = sum(bit[a] for a in r.pos if a in bit)
-        reduct_masks.append((head, pos))
-
+    # Folding over the interpretation keeps the rules whose positive body it
+    # contains; the reduct w.r.t. the full mask then keeps those whose body is
+    # true, with negative literals true for every subset.
+    space = _MaskSpace(removable, facts, interpretation)
     full = (1 << len(removable)) - 1
-    sub = full
-    while sub:
-        sub = (sub - 1) & full
-        if all((sub & pos) != pos or (sub & head) for head, pos in reduct_masks):
-            return Verdict.NOT_MINIMAL
-        if sub == 0:
-            break
+    if _has_smaller_model(full, space.fold_rules(gp.rules)):
+        return Verdict.NOT_MINIMAL
     return Verdict.YES
 
 
@@ -862,9 +900,9 @@ def answer_sets(
 
     The program is grounded in relevance mode: only instances whose positive
     body is derivable. Candidates are the subsets of the derivable
-    (positively reachable) atoms of the grounding with facts forced in;
-    every candidate is checked to be a
-    model of the grounding and minimal among the models of its own reduct.
+    (positively reachable) atoms of the grounding with facts forced in; the
+    search yields those that are models of the grounding, and each is checked
+    to be minimal among the models of its own reduct.
     The derivability restriction is sound because answer-set atoms need rules
     with true bodies deriving them; the oracle-equivalence tests validate it
     against unpruned enumeration.
@@ -888,15 +926,11 @@ def _answer_sets_of_ground(
     folded = space.fold_rules(gp.rules)
     folded_weaks = space.fold_weaks(gp.weak_constraints)
 
-    found: list[AnswerSet] = []
-    for m in range(1 << len(candidates)):
-        if deadline is not None and m % 2048 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout("enumeration deadline exceeded")
-        if not _is_model_mask(m, folded):
-            continue
-        if _has_smaller_model(m, folded, deadline):
-            continue
-        found.append(AnswerSet(atoms=space.atoms_of(m), cost=_cost_of_mask(m, folded_weaks)))
+    found = [
+        AnswerSet(atoms=space.atoms_of(m), cost=_cost_of_mask(m, folded_weaks))
+        for m in _models(len(candidates), folded, deadline)
+        if not _has_smaller_model(m, folded, deadline)
+    ]
 
     found.sort(key=lambda s: render_interpretation(s.atoms))
     return found

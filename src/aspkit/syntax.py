@@ -272,9 +272,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if "0" <= ch <= "9" or (ch == "-" and i + 1 < n and "0" <= text[i + 1] <= "9"):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("INTEGER", text[i:j], line, col))
             col += j - i

@@ -7,12 +7,18 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from aspkit import encodings
 from aspkit.refeval import answer_sets, ground_program
 from aspkit.syntax import parse_program
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+
+# Property tests draw the same examples in every run, and keep no example
+# database between runs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # One "criterion: PASS/FAIL" line per acceptance criterion, printed in the
 # terminal summary of every run that touched test_acceptance.py.

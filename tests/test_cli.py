@@ -44,6 +44,17 @@ class TestSolve:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_model_count_flag_prints_a_prefix_of_the_full_order(self, bundle_dir):
+        path = str(bundle_dir / "3col-k3-isolated.lp")
+        _, full, _ = run_cli("solve", "--system", "ref", path)
+        lines = full.splitlines()
+        assert len(lines) == 18
+        assert lines == sorted(lines)
+        for k in (1, 5, 17):
+            code, out, _ = run_cli("solve", "-n", str(k), "--system", "ref", path)
+            assert code == 0
+            assert out.splitlines() == lines[:k]
+
     def test_filter_projects_predicates(self, bundle_dir):
         code, out, _ = run_cli(
             "solve", "--filter", "color", "--system", "ref", str(bundle_dir / "3col-k3.lp")

@@ -1,0 +1,230 @@
+"""The backtracking model search and the least-model minimality check.
+
+The oracle below calls no enumeration or minimality code of ``refeval``: it
+tries every interpretation with ``itertools.product`` over the atoms of the
+naive grounding, checks each against the rules itself, and checks minimality
+by trying every proper subset against the reduct. ``answer_sets`` must return
+exactly its sets, costs and order.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+import types
+
+import pytest
+
+from test_grounding import random_programs
+
+from aspkit import refeval
+from aspkit.errors import LimitExceeded, SolverTimeout
+from aspkit.refeval import (
+    AnswerSet,
+    EvaluationLimits,
+    _answer_sets_of_ground,
+    _has_smaller_model,
+    _models,
+    _MaskSpace,
+    answer_sets,
+    ground_program,
+)
+from aspkit.syntax import parse_program
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def _satisfied(rule, interpretation) -> bool:
+    body = rule.pos <= interpretation and not (rule.neg & interpretation)
+    return bool(rule.head & interpretation) or not body
+
+
+def oracle_answer_sets(program) -> list[AnswerSet]:
+    gp = ground_program(program)
+    facts = frozenset(next(iter(r.head)) for r in gp.rules if r.is_fact)
+    # Answer-set atoms are derivable ignoring negation; a rule with an
+    # underivable positive body atom is satisfied by every such candidate.
+    derivable: set = set()
+    grown = True
+    while grown:
+        grown = False
+        for r in gp.rules:
+            if r.pos <= derivable and not r.head <= derivable:
+                derivable |= r.head
+                grown = True
+    rules = [r for r in gp.rules if r.pos <= derivable]
+    free = sorted(derivable - facts, key=str)
+
+    found = []
+    for picks in itertools.product((False, True), repeat=len(free)):
+        interpretation = facts | {a for a, keep in zip(free, picks) if keep}
+        if not all(_satisfied(r, interpretation) for r in rules):
+            continue
+        reduct = [r for r in rules if r.pos <= interpretation and not (r.neg & interpretation)]
+        # A subset without some fact violates that fact, which is in the reduct.
+        extra = sorted(interpretation - facts, key=str)
+        subsets = (
+            facts | set(sub) for k in range(len(extra)) for sub in itertools.combinations(extra, k)
+        )
+        if any(all(r.head & s or not r.pos <= s for r in reduct) for s in subsets):
+            continue
+        totals: dict[int, int] = {}
+        for w in set(gp.weak_constraints):
+            if w.pos <= interpretation and not (w.neg & interpretation):
+                totals[w.level] = totals.get(w.level, 0) + w.weight
+        cost = {level: weight for level, weight in totals.items() if weight}
+        found.append(AnswerSet(atoms=frozenset(interpretation), cost=cost))
+    found.sort(key=lambda s: "{" + ", ".join(sorted(map(str, s.atoms))) + "}")
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Seeded propositional programs
+# ---------------------------------------------------------------------------
+
+
+def _literals(rng: random.Random, names: str, count: int) -> list[str]:
+    return [("not " if rng.random() < 0.35 else "") + rng.choice(names) for _ in range(count)]
+
+
+def random_propositional_text(rng: random.Random) -> str:
+    """Disjunctive rules, `not`, constraints, positive head cycles, weak constraints."""
+    names = "abcdefg"[: rng.randint(3, 7)]
+    lines = []
+    for _ in range(rng.randint(1, 7)):
+        head = " | ".join(rng.sample(names, rng.choice((0, 1, 1, 2, 2, 3))))
+        body = ", ".join(_literals(rng, names, rng.randint(0, 3)))
+        if head and body:
+            lines.append(f"{head} :- {body}.")
+        elif head or body:
+            lines.append(f"{head}." if head else f":- {body}.")
+    if rng.random() < 0.4:
+        # a | b. a :- b. b :- a.  (or a three-atom loop), sometimes guarded
+        cycle = rng.sample(names, rng.choice((2, 3)))
+        guard = f" :- {rng.choice(names)}" if rng.random() < 0.3 else ""
+        lines.append(f"{cycle[0]} | {cycle[1]}{guard}.")
+        lines += [f"{cycle[(i + 1) % len(cycle)]} :- {cycle[i]}." for i in range(len(cycle))]
+    for _ in range(rng.randint(0, 3)):
+        body = ", ".join(_literals(rng, names, rng.randint(1, 2)))
+        lines.append(f":~ {body}. [{rng.randint(0, 3)}:{rng.randint(0, 2)}]")
+    return "\n".join(lines)
+
+
+class TestDifferentialSearch:
+    def test_propositional_programs_match_the_oracle(self, monkeypatch):
+        must_atoms = refeval._must_atoms
+        has_smaller_model = refeval._has_smaller_model
+        last = []
+        fallback = {"taken": 0, "accepted": 0}
+
+        def spy_must(m, reduct):
+            must = must_atoms(m, reduct)
+            last[:] = [must != m]
+            return must
+
+        def spy_smaller(m, folded, deadline=None):
+            smaller = has_smaller_model(m, folded, deadline)
+            if last[0]:
+                fallback["taken"] += 1
+                fallback["accepted"] += not smaller
+            return smaller
+
+        monkeypatch.setattr(refeval, "_must_atoms", spy_must)
+        monkeypatch.setattr(refeval, "_has_smaller_model", spy_smaller)
+        rng = random.Random(3003)
+        mismatches = []
+        for _ in range(3000):
+            text = random_propositional_text(rng)
+            program = parse_program(text)
+            if answer_sets(program) != oracle_answer_sets(program):
+                mismatches.append(text)
+        assert mismatches == []
+        # head cycles: the least-model check is not enough and the submask
+        # search both rejects models and accepts answer sets
+        assert fallback["accepted"] > 0
+        assert fallback["taken"] > fallback["accepted"]
+
+    def test_non_ground_programs_match_the_oracle(self):
+        limits = EvaluationLimits(max_candidate_atoms=10)
+        compared = 0
+        mismatches = []
+        for text, program in random_programs(31, 300):
+            try:
+                got = answer_sets(program, limits)
+                expected = oracle_answer_sets(program)
+            except LimitExceeded:
+                continue
+            compared += 1
+            if got != expected:
+                mismatches.append(text)
+        assert mismatches == []
+        assert compared >= 250
+
+    def test_head_cycle_answer_set_needs_the_submask_search(self):
+        program = parse_program("a | b. a :- b. b :- a.")
+        [only] = answer_sets(program)
+        assert sorted(map(str, only.atoms)) == ["a", "b"]
+        gp = ground_program(program)
+        space = _MaskSpace(sorted(only.atoms, key=str), frozenset(), only.atoms)
+        reduct = space.fold_rules(gp.rules)
+        assert refeval._must_atoms(0b11, reduct) == 0
+        assert not _has_smaller_model(0b11, reduct)
+
+
+# ---------------------------------------------------------------------------
+# Deadlines and limits
+# ---------------------------------------------------------------------------
+
+
+def _pairs(count: int) -> str:
+    return "".join(f"a{i} | b{i}. " for i in range(count))
+
+
+def _clock(readings: list[float]):
+    """A stand-in for the time module: ``monotonic`` returns ``readings`` in turn, then the last."""
+    def monotonic():
+        return readings.pop(0) if len(readings) > 1 else readings[0]
+
+    return types.SimpleNamespace(monotonic=monotonic)
+
+
+class TestDeadlines:
+    def test_past_deadline_stops_the_search(self):
+        gp = ground_program(parse_program(_pairs(11)), relevant=True)  # 22 candidates
+        with pytest.raises(SolverTimeout) as caught:
+            _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS, deadline=0.0)
+        assert caught.traceback[-1].name == "_models"
+
+    def test_deadline_is_checked_during_the_search(self, monkeypatch):
+        gp = ground_program(parse_program(_pairs(11)), relevant=True)
+        candidates = sorted({a for r in gp.rules for a in r.head}, key=str)
+        folded = _MaskSpace(candidates, frozenset(), frozenset()).fold_rules(gp.rules)
+        # the clock passes the deadline at the third check, 4096 nodes in
+        monkeypatch.setattr(refeval, "time", _clock([0.0, 0.0, 2.0]))
+        models = _models(22, folded, deadline=1.0)
+        yielded = 0
+        with pytest.raises(SolverTimeout):
+            for _ in models:
+                yielded += 1
+        assert yielded > 0
+
+    def test_past_deadline_stops_the_submask_fallback(self, monkeypatch):
+        # {a, b} is the only model, and the least-model check derives neither atom
+        gp = ground_program(parse_program("a | b. a :- b. b :- a."), relevant=True)
+        # the search's only check reads 0.0; the fallback's first reads 2.0
+        monkeypatch.setattr(refeval, "time", _clock([0.0, 2.0]))
+        with pytest.raises(SolverTimeout) as caught:
+            _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS, deadline=1.0)
+        assert caught.traceback[-1].name == "_has_smaller_model"
+
+    def test_default_candidate_limit_is_unchanged(self):
+        program = parse_program(_pairs(11) + "c :- a0.")  # 23 candidates
+        with pytest.raises(LimitExceeded) as caught:
+            answer_sets(program)
+        assert (caught.value.what, caught.value.count, caught.value.limit) == (
+            "candidate atoms",
+            23,
+            22,
+        )

@@ -280,3 +280,37 @@ _programs = st.builds(
 @given(_programs)
 def test_parse_render_round_trip(program):
     assert parse_program(render(program), check_safety=False) == program
+
+
+# --- fuzz: arbitrary text parses or raises ParseError, nothing else ---
+
+_fuzz_pieces = st.sampled_from(
+    [
+        "not", "not ", ":-", ":~", "|", ".", ",", "(", ")", "[", "]", ":", "=", "!=", "<>",
+        "<", ">", "<=", ">=", "+", "-", '"', "%", " ", "\n", "\t", "p", "node", "a", "X",
+        "_", "_y", "0", "7", "-3", '"a,b"', "²", "é",
+    ]
+)
+_fuzz_text = st.one_of(
+    st.lists(_fuzz_pieces, max_size=30).map("".join),
+    st.text(alphabet="abpXY_019 -.,:|()[]=<>!+~%\"\n²", max_size=40),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_fuzz_text)
+def test_arbitrary_text_parses_or_raises_parse_error(text):
+    try:
+        parse_program(text, check_safety=False)
+    except ParseError:
+        return
+    try:
+        parse_program(text)
+    except SafetyError:
+        pass
+
+
+def test_only_ascii_digits_make_integers():
+    for text in ("p(²).", "p(١).", "p(-١)."):
+        with pytest.raises(ParseError):
+            parse_program(text)

@@ -2,6 +2,8 @@ import stat
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspkit.errors import (
     EmptyFilter,
@@ -11,7 +13,7 @@ from aspkit.errors import (
     SolverTimeout,
 )
 from aspkit.refeval import AnswerSet, answer_sets
-from aspkit.syntax import parse_program
+from aspkit.syntax import Atom, Constant, Integer, parse_program
 from aspkit.systems import (
     AnswerSets,
     SolverSpec,
@@ -326,3 +328,28 @@ class TestInvocation:
         script = make_script(tmp_path, "catter", 'echo "Answer: 1"\ntr "\\n" " " < "$1"\necho ""\necho "SATISFIABLE"\nexit 10\n')
         raw = invoke_solver(clingo_solver(script), "a. b(1).")
         assert "a. b(1)." in raw
+
+
+# --- witness atoms rendered as solver output parse back unchanged ---
+
+# clingo separates witness atoms by spaces, so the strings here hold none
+_witness_terms = st.one_of(
+    st.integers(min_value=-99, max_value=99).map(Integer),
+    st.sampled_from(["a", "b", "zero", "x_1", "notx"]).map(Constant),
+    st.text(alphabet="aZ_09,()", max_size=6).map(lambda s: Constant(f'"{s}"')),
+)
+_witness_atoms = st.builds(
+    Atom,
+    predicate=st.sampled_from(["p", "q", "cell", "edge_1", "nota"]),
+    terms=st.lists(_witness_terms, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(_witness_atoms, max_size=6))
+def test_rendered_witness_atoms_parse_back(atoms):
+    rendered = [str(a) for a in atoms]
+    clingo = parse_clingo_output(f"Answer: 1\n{' '.join(rendered)}\nSATISFIABLE\n")
+    dlv = parse_dlv_output("{" + ", ".join(rendered) + "}\n")
+    assert [s.atoms for s in clingo.sets] == [atoms]
+    assert [s.atoms for s in dlv.sets] == [atoms]
