@@ -1,5 +1,11 @@
 """Batch command line: solve, check answer-set candidates, ground, write examples.
 
+`solve` runs every `--system`, the reference evaluator included, through
+`orchestration.Handler`, so the command line and library callers share one
+pipeline: the solver's text output is parsed by `systems`, and a failed run
+prints `error: <message>`. Sorting, `--optimize`, `-n` and `--filter` then
+act on the parsed sets.
+
 Exit codes: 0 success (at least one answer set / verdict yes), 10 for "no
 answer set" outcomes, 1 for errors, 2 for usage problems.
 """
@@ -12,6 +18,7 @@ from pathlib import Path
 
 from . import encodings, refeval, systems
 from .errors import AspkitError
+from .orchestration import Handler
 from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits, Verdict
 from .syntax import Program, parse_program
 
@@ -19,6 +26,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_NO_ANSWER_SET = 10
+
+SOLVERS = {
+    "ref": systems.reference_solver,
+    "clingo": systems.clingo_solver,
+    "dlv": systems.dlv_solver,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--system", choices=("ref", "clingo", "dlv"), default="ref")
+    sub.add_argument("--system", choices=tuple(SOLVERS), default="ref")
     sub.add_argument("-n", "--models", type=int, default=0, help="0 enumerates all")
     sub.add_argument("--filter", default=None, help="comma-separated predicate names")
     sub.add_argument("--optimize", action="store_true", help="keep only optimal answer sets")
@@ -107,31 +120,20 @@ def cmd_solve(args) -> int:
         sys.stderr.write("error: --models must be >= 0\n")
         return EXIT_USAGE
 
-    if args.system == "ref":
-        program = _read_program(args.paths)
-        limits = _limits(args)
-        if args.optimize:
-            sets = refeval.optimal_answer_sets(program, limits)
-        else:
-            sets = refeval.answer_sets(program, limits)
-    else:
-        spec = (
-            systems.clingo_solver() if args.system == "clingo" else systems.dlv_solver()
-        )
-        options = [systems.models_option(args.models, args.system)]
-        if args.filter:
-            options.append(systems.filter_option(args.filter.split(",")))
-        text = "\n".join(Path(p).read_text() for p in args.paths)
-        raw = systems.invoke_solver(spec, text, options)
-        parsed = systems.parse_output(spec, raw)
-        sets = sorted(parsed.sets, key=lambda s: refeval.render_interpretation(s.atoms))
-        if args.optimize and sets:
-            best = sets[0].cost
-            for s in sets[1:]:
-                if refeval.compare_costs(s.cost, best) < 0:
-                    best = s.cost
-            sets = [s for s in sets if refeval.compare_costs(s.cost, best) == 0]
-
+    spec = SOLVERS[args.system]()
+    handler = Handler(spec, limits=_limits(args))
+    handler.add_program("\n".join(Path(p).read_text() for p in args.paths))
+    # Optimal sets can come after the first k models, so --optimize asks for all.
+    handler.add_option(systems.models_option(0 if args.optimize else args.models, spec.kind))
+    if args.filter and args.system == "dlv":
+        handler.add_option(systems.filter_option(args.filter.split(",")))
+    output = handler.start_sync()
+    if not output.ok:
+        sys.stderr.write(f"error: {output.error.message}\n")
+        return EXIT_ERROR
+    sets = sorted(output.answer_sets.sets, key=lambda s: refeval.render_interpretation(s.atoms))
+    if args.optimize:
+        sets = refeval.lowest_cost(sets)
     _print_sets(sets, args)
     return EXIT_OK if sets else EXIT_NO_ANSWER_SET
 

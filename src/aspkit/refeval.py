@@ -31,6 +31,7 @@ answer sets and costs are the same; the naive mode stays the oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -945,17 +946,18 @@ def compare_costs(a: dict[int, int], b: dict[int, int]) -> int:
     return 0
 
 
+def lowest_cost(sets: list[AnswerSet]) -> list[AnswerSet]:
+    """The sets whose cost is lexicographically minimal, in their given order."""
+    if not sets:
+        return []
+    best = min((s.cost for s in sets), key=functools.cmp_to_key(compare_costs))
+    return [s for s in sets if compare_costs(s.cost, best) == 0]
+
+
 def optimal_answer_sets(
     program: Program,
     limits: EvaluationLimits = DEFAULT_LIMITS,
     deadline: float | None = None,
 ) -> list[AnswerSet]:
     """The answer sets whose cost is lexicographically minimal."""
-    sets = answer_sets(program, limits, deadline)
-    if not sets:
-        return []
-    best = sets[0].cost
-    for s in sets[1:]:
-        if compare_costs(s.cost, best) < 0:
-            best = s.cost
-    return [s for s in sets if compare_costs(s.cost, best) == 0]
+    return lowest_cost(answer_sets(program, limits, deadline))

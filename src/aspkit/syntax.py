@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ParseError, SafetyError
+from .errors import MalformedOutput, ParseError, SafetyError
 
 VARIABLE_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*$")
 SYMBOL_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
@@ -213,97 +214,52 @@ def _collect_vars(terms, seen: list[str]) -> None:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT = [
-    (":-", "IMPLIES"),
-    (":~", "WEAK"),
-    ("<>", "OP"),
-    ("<=", "OP"),
-    (">=", "OP"),
-    ("!=", "OP"),
-    ("=", "OP"),
-    ("<", "OP"),
-    (">", "OP"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("[", "LBRACKET"),
-    ("]", "RBRACKET"),
-    (":", "COLON"),
-    (",", "COMMA"),
-    (".", "DOT"),
-    ("|", "PIPE"),
-    ("+", "PLUS"),
-]
+# One alternative per token kind, tried in order at each position: `:-`,
+# `:~` and the two-character comparisons before their one-character prefixes.
+# Only ASCII letters and digits make words and integers; ERROR catches any
+# other character.
+_TOKEN_RE = re.compile(
+    r"""(?P<NEWLINE>\n)|(?P<SKIP>[ \t\r]+)|(?P<COMMENT>%[^\n]*)
+    |(?P<STRING>"[^"\n]*")|(?P<INTEGER>-?[0-9]+)|(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<IMPLIES>:-)|(?P<WEAK>:~)|(?P<OP><>|<=|>=|!=|=|<|>)
+    |(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACKET>\[)|(?P<RBRACKET>])|(?P<COLON>:)
+    |(?P<COMMA>,)|(?P<DOT>\.)|(?P<PIPE>\|)|(?P<PLUS>\+)|(?P<ERROR>.)""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
     column: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, comments: bool = True) -> list[_Token]:
+    """Tokens of ``text`` ending in EOF; without ``comments`` a `%` is an error."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SKIP" or (kind == "COMMENT" and comments):
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", line, col)
-            if "\n" in text[i:j]:
-                raise ParseError("newline in string", line, col)
-            tokens.append(_Token("STRING", text[i : j + 1], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if "0" <= ch <= "9" or (ch == "-" and i + 1 < n and "0" <= text[i + 1] <= "9"):
-            j = i + 1
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("INTEGER", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] == "_")):
-                j += 1
-            word = text[i:j]
-            if word == "not":
-                kind = "NOT"
-            elif word[0].isupper() or word[0] == "_":
-                kind = "VARIABLE"
-            else:
-                kind = "IDENT"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for punct, kind in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token(kind, punct, line, col))
-                col += len(punct)
-                i += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+        value, column = m.group(), m.start() - line_start + 1
+        if kind == "WORD":
+            kind = "NOT" if value == "not" else "IDENT" if value[0].islower() else "VARIABLE"
+        elif kind in ("ERROR", "COMMENT"):
+            if value != '"':
+                raise ParseError(f"unexpected character {value[0]!r}", line, column)
+            closed = text.find('"', m.end()) >= 0
+            raise ParseError("newline in string" if closed else "unterminated string", line, column)
+        tokens.append(_Token(kind, value, line, column))
+    # After a comment on the last line, EOF sits where the comment starts.
+    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(text)
+    tokens.append(_Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
@@ -482,6 +438,33 @@ def parse_program(text: str, check_safety: bool = True) -> Program:
             if unsafe:
                 raise SafetyError(index, unsafe, render(stmt))
     return program
+
+
+def parse_witness(text: str, line: str, commas: bool) -> frozenset[Atom]:
+    """Ground atoms of one solver witness, read with the program tokenizer.
+
+    clingo separates the atoms by whitespace, DLV by commas (``commas``).
+    Anything else, a comment included, raises :class:`MalformedOutput`
+    quoting ``line``, the output line the witness came from.
+    """
+    atoms: list[Atom] = []
+    try:
+        parser = _Parser(_tokenize(text, comments=False))
+        while parser.peek().kind != "EOF":
+            if atoms and commas:
+                parser.expect("COMMA")
+            elif atoms and parser.peek().column == end:
+                raise parser.error("expected whitespace between atoms")
+            start = parser.peek()
+            atom = parser.parse_atom()
+            if not atom.is_ground:
+                raise ParseError(f"non-ground atom {atom}", start.line, start.column)
+            atoms.append(atom)
+            last = parser.tokens[parser.pos - 1]
+            end = last.column + len(last.value)
+    except ParseError as exc:
+        raise MalformedOutput(line, str(exc)) from exc
+    return frozenset(atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ External solvers are black boxes reached through a subprocess with the input
 program in a temporary file. The built-in reference evaluator is exposed
 through the same interface and renders its results in the clingo textual
 style, so the clingo parser path is exercised with no binary installed.
+`aspkit solve` reaches every system through these adapters, via `Handler`.
+Witness atoms of both output formats are read by `syntax.parse_witness`, on
+the same tokenizer as programs.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .errors import (
     SolverTimeout,
 )
 from .orchestration import OptionDescriptor
-from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits, compare_costs
-from .syntax import SYMBOL_RE, Atom, parse_program
+from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits
+from .syntax import SYMBOL_RE, parse_program, parse_witness
 
 ENV_EXECUTABLE = {"clingo": "ASP_EMBED_CLINGO", "dlv": "ASP_EMBED_DLV"}
 ENV_KEEP_TEMP = "ASP_EMBED_KEEP_TEMP"
@@ -104,20 +107,10 @@ def models_option(n: int, kind: str) -> OptionDescriptor:
 # Output parsing
 # ---------------------------------------------------------------------------
 
-def _parse_witness_atom(token: str, line: str) -> Atom:
-    try:
-        program = parse_program(token + ".")
-    except Exception as exc:
-        raise MalformedOutput(line, f"bad atom {token!r}: {exc}") from exc
-    if len(program.rules) != 1 or not program.rules[0].is_fact:
-        raise MalformedOutput(line, f"bad atom {token!r}")
-    return program.rules[0].head[0]
-
-
 def parse_clingo_output(text: str) -> AnswerSets:
     """Parse clingo-style textual output.
 
-    Recognizes `Answer: N` followed by a space-separated witness line,
+    Recognizes `Answer: N` followed by a whitespace-separated witness line,
     `Optimization:` lines (values are per-level totals, highest level first,
     lowest level last), the SATISFIABLE/UNSATISFIABLE/UNKNOWN verdict, and
     `OPTIMUM FOUND`. Unrecognized lines are ignored.
@@ -135,8 +128,7 @@ def parse_clingo_output(text: str) -> AnswerSets:
             if not tail.isdigit():
                 raise MalformedOutput(line, "expected an answer number")
             witness = lines[i + 1] if i + 1 < len(lines) else ""
-            atoms = frozenset(_parse_witness_atom(tok, witness) for tok in witness.split())
-            sets.append(AnswerSet(atoms=atoms, cost={}))
+            sets.append(AnswerSet(atoms=parse_witness(witness, witness, commas=False), cost={}))
             i += 2
             continue
         if stripped.startswith("Optimization:"):
@@ -167,40 +159,6 @@ _DLV_COST_RE = re.compile(r"Cost \(\[Weight:Level\]\):\s*<(.*)>")
 _DLV_PAIR_RE = re.compile(r"\[(\d+):(\d+)\]")
 
 
-def _split_model_line(interior: str, line: str) -> frozenset[Atom]:
-    """Atoms of a DLV model line, split at commas outside parentheses and quotes."""
-    if not interior.strip():
-        return frozenset()
-    atoms: list[Atom] = []
-    depth = 0
-    quoted = False
-    current = []
-    for ch in interior + ",":
-        if quoted:
-            quoted = ch != '"'
-        elif ch == '"':
-            quoted = True
-        elif ch == "," and depth == 0:
-            token = "".join(current).strip()
-            if not token:
-                raise MalformedOutput(line, "empty atom between commas")
-            atoms.append(_parse_witness_atom(token, line))
-            current = []
-            continue
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise MalformedOutput(line, "unbalanced parentheses")
-        current.append(ch)
-    if quoted:
-        raise MalformedOutput(line, "unterminated quoted string")
-    if depth:
-        raise MalformedOutput(line, "unbalanced parentheses")
-    return frozenset(atoms)
-
-
 def parse_dlv_output(text: str) -> AnswerSets:
     """Parse DLV-style textual output.
 
@@ -221,7 +179,7 @@ def parse_dlv_output(text: str) -> AnswerSets:
         if body.startswith("{"):
             if not body.endswith("}"):
                 raise MalformedOutput(line, "unterminated model line")
-            sets.append(AnswerSet(atoms=_split_model_line(body[1:-1], line), cost={}))
+            sets.append(AnswerSet(atoms=parse_witness(body[1:-1], line, commas=True), cost={}))
             satisfiable = "sat"
             continue
         cost_match = _DLV_COST_RE.search(stripped)
@@ -349,11 +307,8 @@ def render_reference_output(
             values = [str(answer.cost.get(level, 0)) for level in range(top, -1, -1)]
             lines.append("Optimization: " + " ".join(values))
     lines.append("SATISFIABLE" if sets else "UNSATISFIABLE")
-    if sets and has_weak_constraints:
-        best = sets[0].cost
-        for answer in sets[1:]:
-            if compare_costs(answer.cost, best) < 0:
-                best = answer.cost
-        if any(compare_costs(answer.cost, best) == 0 for answer in shown):
+    if has_weak_constraints:
+        optimal = refeval.lowest_cost(sets)
+        if any(answer in optimal for answer in shown):
             lines.append("OPTIMUM FOUND")
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,14 @@ import pytest
 BASE = [sys.executable, "-m", "aspkit"]
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     proc = subprocess.run(
-        BASE + list(args), capture_output=True, text=True, cwd=cwd, timeout=120
+        BASE + list(args),
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=None if env is None else {**os.environ, **env},
+        timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -91,23 +98,19 @@ class TestSolve:
     def test_parse_error_exits_one(self, tmp_path):
         bad = tmp_path / "bad.lp"
         bad.write_text("p(.\n")
-        code, _, err = run_cli("solve", str(bad))
-        assert code == 1
-        assert "error:" in err
+        assert run_cli("solve", str(bad)) == (1, "", "error: 1:3: expected a term, found '.'\n")
 
     def test_unsafe_program_exits_one(self, tmp_path):
         bad = tmp_path / "unsafe.lp"
         bad.write_text("p(X) :- not q(X).\n")
-        code, _, err = run_cli("solve", str(bad))
-        assert code == 1
-        assert "unsafe" in err
+        assert run_cli("solve", str(bad)) == (
+            1, "", "error: statement 0: unsafe variables X in `p(X) :- not q(X).`\n"
+        )
 
     def test_limit_exceeded_exits_one(self, bundle_dir):
-        code, _, err = run_cli(
-            "solve", "--limit-atoms", "3", str(bundle_dir / "3col-k3.lp")
+        assert run_cli("solve", "--limit-atoms", "3", str(bundle_dir / "3col-k3.lp")) == (
+            1, "", "error: candidate atoms: 9 exceeds limit 3\n"
         )
-        assert code == 1
-        assert "exceeds limit" in err
 
     def test_limit_flag_can_raise_the_bound(self, tmp_path):
         # 24 candidate atoms, kept quick by pinning half the pairs
@@ -120,8 +123,25 @@ class TestSolve:
         assert len(out.splitlines()) == 1
 
     def test_missing_file_exits_one(self):
-        code, _, err = run_cli("solve", "/no/such/file.lp")
-        assert code == 1
+        assert run_cli("solve", "/no/such/file.lp") == (
+            1, "", "error: [Errno 2] No such file or directory: '/no/such/file.lp'\n"
+        )
+
+    def test_quoted_strings_with_spaces(self, tmp_path):
+        source = tmp_path / "q.lp"
+        source.write_text('p("x y").\n')
+        assert run_cli("solve", str(source)) == (0, '{p("x y")}\n', "")
+
+    def test_optimize_with_model_count_cuts_the_optimal_sets(self, tmp_path):
+        source = tmp_path / "opt.lp"
+        source.write_text("a | b | c. :~ c. [1:1]\n")
+        assert run_cli("solve", "--optimize", "-n", "1", str(source)) == (
+            0, "{a}\nCost: []\n", ""
+        )
+
+    def test_filter_without_matching_predicate_prints_empty_sets(self, bundle_dir):
+        code, out, _ = run_cli("solve", "--filter", "Color", str(bundle_dir / "3col-k3.lp"))
+        assert (code, out) == (0, "{}\n" * 6)
 
     def test_determinism_two_runs(self, bundle_dir):
         results = [
@@ -129,6 +149,80 @@ class TestSolve:
             for _ in range(2)
         ]
         assert results[0] == results[1]
+
+
+def fake_solver(tmp_path, name: str, output: str, code: int = 0) -> str:
+    """Executable that records its arguments in `<name>.args` and prints ``output``."""
+    (tmp_path / f"{name}.txt").write_text(output)
+    path = tmp_path / name
+    path.write_text(
+        f'#!/bin/sh\nprintf "%s\\n" "$@" > "{tmp_path}/{name}.args"\n'
+        f'cat "{tmp_path}/{name}.txt"\necho "solver failed" >&2\nexit {code}\n'
+    )
+    path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    return str(path)
+
+
+def recorded_args(tmp_path, name: str) -> list[str]:
+    """Arguments before the input file, which comes last."""
+    return (tmp_path / f"{name}.args").read_text().splitlines()[:-1]
+
+
+CLINGO_IMPROVING = """Solving...
+Answer: 1
+c
+Optimization: 5
+Answer: 2
+b
+Optimization: 2
+Answer: 3
+a
+Optimization: 2
+OPTIMUM FOUND
+"""
+
+
+class TestExternalSystems:
+    @pytest.fixture
+    def program(self, tmp_path):
+        path = tmp_path / "p.lp"
+        path.write_text("a | b | c.\n")
+        return str(path)
+
+    def test_clingo_models_are_sorted(self, tmp_path, program):
+        clingo = fake_solver(tmp_path, "clingo", "Answer: 1\nb\nAnswer: 2\na\nSATISFIABLE\n", 10)
+        result = run_cli("solve", "--system", "clingo", program, env={"ASP_EMBED_CLINGO": clingo})
+        assert result == (0, "{a}\n{b}\n", "")
+        assert recorded_args(tmp_path, "clingo") == ["0"]
+
+    def test_clingo_optimize_keeps_the_lowest_cost_models(self, tmp_path, program):
+        clingo = fake_solver(tmp_path, "clingo", CLINGO_IMPROVING, 30)
+        env = {"ASP_EMBED_CLINGO": clingo}
+        result = run_cli("solve", "--system", "clingo", "--optimize", program, env=env)
+        assert result == (0, "{a}\nCost: [2:0]\n{b}\nCost: [2:0]\n", "")
+        result = run_cli("solve", "--system", "clingo", "--optimize", "-n", "1", program, env=env)
+        assert result == (0, "{a}\nCost: [2:0]\n", "")
+
+    def test_optimize_asks_the_solver_for_all_models(self, tmp_path, program):
+        clingo = fake_solver(tmp_path, "clingo", CLINGO_IMPROVING, 30)
+        run_cli("solve", "--system", "clingo", "--optimize", "-n", "2", program,
+                env={"ASP_EMBED_CLINGO": clingo})
+        assert recorded_args(tmp_path, "clingo") == ["0"]
+
+    def test_dlv_gets_the_model_count_and_filter(self, tmp_path, program):
+        dlv = fake_solver(tmp_path, "dlv", "{color(1,r), node(1)}\n{color(1,g), node(1)}\n")
+        result = run_cli("solve", "--system", "dlv", "-n", "2", "--filter", "color", program,
+                         env={"ASP_EMBED_DLV": dlv})
+        assert result == (0, "{color(1,g)}\n{color(1,r)}\n", "")
+        assert recorded_args(tmp_path, "dlv") == ["-n=2", "-filter=color"]
+
+    @pytest.mark.parametrize("system, code", [("clingo", 1), ("dlv", 10)])
+    def test_nonzero_exit_is_an_error(self, tmp_path, program, system, code):
+        solver = fake_solver(tmp_path, system, "", code)
+        env = {"ASP_EMBED_CLINGO": solver, "ASP_EMBED_DLV": solver}
+        assert run_cli("solve", "--system", system, program, env=env) == (
+            1, "", f"error: solver exited with code {code}: solver failed\n"
+        )
 
 
 class TestCheck:

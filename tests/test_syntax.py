@@ -14,6 +14,7 @@ from aspkit.syntax import (
     Sum,
     Variable,
     WeakConstraint,
+    _tokenize,
     classify_predicates,
     parse_program,
     render,
@@ -125,6 +126,37 @@ class TestParsing:
     def test_unterminated_statement(self):
         with pytest.raises(ParseError):
             parse_program("p(1)")
+
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            # EOF after a comment on the last line sits where the comment starts
+            ("p(a) % c", 1, 6, "expected DOT, found ''"),
+            ("p(a). % x\n  q(b) % y", 2, 8, "expected DOT, found ''"),
+            ("p(a) % c\n", 2, 1, "expected DOT, found ''"),
+            ("p(a)", 1, 5, "expected DOT, found ''"),
+            ('p("a\nb").', 1, 3, "newline in string"),
+            ('p("ab).', 1, 3, "unterminated string"),
+            ("p(a) @.", 1, 6, "unexpected character '@'"),
+        ],
+    )
+    def test_error_positions(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+    def test_token_kinds_and_positions(self):
+        tokens = _tokenize('a :- not b(X,-1), "s t" <> Y.\n:~ c. [1:0] % w')
+        assert [(t.kind, t.value, t.line, t.column) for t in tokens] == [
+            ("IDENT", "a", 1, 1), ("IMPLIES", ":-", 1, 3), ("NOT", "not", 1, 6),
+            ("IDENT", "b", 1, 10), ("LPAREN", "(", 1, 11), ("VARIABLE", "X", 1, 12),
+            ("COMMA", ",", 1, 13), ("INTEGER", "-1", 1, 14), ("RPAREN", ")", 1, 16),
+            ("COMMA", ",", 1, 17), ("STRING", '"s t"', 1, 19), ("OP", "<>", 1, 25),
+            ("VARIABLE", "Y", 1, 28), ("DOT", ".", 1, 29), ("WEAK", ":~", 2, 1),
+            ("IDENT", "c", 2, 4), ("DOT", ".", 2, 5), ("LBRACKET", "[", 2, 7),
+            ("INTEGER", "1", 2, 8), ("COLON", ":", 2, 9), ("INTEGER", "0", 2, 10),
+            ("RBRACKET", "]", 2, 11), ("EOF", "", 2, 13),
+        ]
 
     def test_not_requires_atom(self):
         with pytest.raises(ParseError):

@@ -12,7 +12,8 @@ from aspkit.errors import (
     SolverNotFound,
     SolverTimeout,
 )
-from aspkit.refeval import AnswerSet, answer_sets
+from aspkit.orchestration import Handler
+from aspkit.refeval import AnswerSet, answer_sets, render_interpretation
 from aspkit.syntax import Atom, Constant, Integer, parse_program
 from aspkit.systems import (
     AnswerSets,
@@ -96,6 +97,10 @@ CLINGO_EXPECTED = {
         sets=(answer('activity_to_do("RUNNING",20)', 'mood("HAPPY")'),),
         satisfiable="sat",
     ),
+    "quoted_space": AnswerSets(
+        sets=(answer('note("x y",1)', 'share("50% done")', "p(a)"),),
+        satisfiable="sat",
+    ),
     "negative_int": AnswerSets(sets=(answer("delta(0)", "level(-3)"),), satisfiable="sat"),
     "unknown": AnswerSets(sets=(), satisfiable="unknown"),
     "noisy": AnswerSets(sets=(answer("p(1)", "q(1)"),), satisfiable="sat"),
@@ -162,6 +167,14 @@ class TestClingoOutputParsing:
         with pytest.raises(MalformedOutput):
             parse_clingo_output("Answer: 1\na\nUNSATISFIABLE")
 
+    @pytest.mark.parametrize(
+        "witness", ["p(a)q(b)", "p(a), q(b)", "p(X)", "p(_)", "a % b", "a.%q(1)", "p(a) :- q"]
+    )
+    def test_witness_holds_only_whitespace_separated_ground_atoms(self, witness):
+        with pytest.raises(MalformedOutput) as err:
+            parse_clingo_output(f"Answer: 1\n{witness}\nSATISFIABLE")
+        assert err.value.line == witness
+
 
 class TestDlvOutputParsing:
     @pytest.mark.parametrize("case", sorted(DLV_EXPECTED))
@@ -192,7 +205,9 @@ class TestDlvOutputParsing:
         assert sorted(map(str, answer.atoms)) == ['p("a)")', "q(1)", 'r("x,(y",2)']
 
     @pytest.mark.parametrize(
-        "line", ['{p("a), q(1)}', "{p(a)), q(1)}", "{p(a, q(1)}", "{p(a)), (q(1)}"]
+        "line",
+        ['{p("a), q(1)}', "{p(a)), q(1)}", "{p(a, q(1)}", "{p(a)), (q(1)}", "{a, b % c}",
+         "{a.%q(1)}", "{a b}"],
     )
     def test_unbalanced_model_line(self, line):
         with pytest.raises(MalformedOutput):
@@ -208,6 +223,15 @@ class TestReferenceSolver:
     def test_unsat_text(self):
         raw = invoke_solver(reference_solver(), "a. :- a.")
         assert "UNSATISFIABLE" in raw
+
+    def test_quoted_strings_with_spaces_through_handler(self):
+        handler = Handler(reference_solver())
+        handler.add_program('p("x y"). q("50% done").')
+        output = handler.start_sync()
+        assert output.ok
+        assert [render_interpretation(s.atoms) for s in output.answer_sets.sets] == [
+            '{p("x y"), q("50% done")}'
+        ]
 
     def test_model_cap_option(self):
         raw = invoke_solver(reference_solver(), "a | b.", [models_option(1, "clingo")])
@@ -332,11 +356,10 @@ class TestInvocation:
 
 # --- witness atoms rendered as solver output parse back unchanged ---
 
-# clingo separates witness atoms by spaces, so the strings here hold none
 _witness_terms = st.one_of(
     st.integers(min_value=-99, max_value=99).map(Integer),
     st.sampled_from(["a", "b", "zero", "x_1", "notx"]).map(Constant),
-    st.text(alphabet="aZ_09,()", max_size=6).map(lambda s: Constant(f'"{s}"')),
+    st.text(alphabet="aZ_09,() %.", max_size=6).map(lambda s: Constant(f'"{s}"')),
 )
 _witness_atoms = st.builds(
     Atom,
