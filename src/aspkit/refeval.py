@@ -12,14 +12,17 @@ Semantics implemented here, over ground programs:
 * weak constraints charge their weight at their level when their body holds,
   and answer sets are ranked lexicographically by level, higher levels first.
 
-Everything is computed over an explicitly bounded candidate space: the
-``2^n`` subsets of ``n`` candidate atoms, with ``max_candidate_atoms``
-capping ``n``. Enumeration is a backtracking search over that space that
-drops a partial assignment as soon as it violates a rule. Minimality is a
-least-model check of the reduct, with a search of the smaller candidates
-only when head cycles leave it undecided. This module trades speed for being
-small enough to audit, and doubles as the test oracle for the rest of the
-package.
+Everything is computed over an explicitly bounded candidate space: the facts
+plus any of the ``2^n`` subsets of ``n`` candidate atoms, with
+``max_candidate_atoms`` capping ``n``. One class, ``_MaskSpace``, builds it
+from a ground program and the atoms it may contain: the derivable atoms for
+``answer_sets``, the occurring ones for ``minimal_models`` and the checked
+interpretation for ``is_answer_set``. Enumeration is a backtracking search
+over that space that drops a partial assignment as soon as it violates a
+rule. Minimality is a least-model check of the reduct, with a search of the
+smaller candidates only when head cycles leave it undecided. This module
+trades speed for being small enough to audit, and doubles as the test oracle
+for the rest of the package.
 
 Grounding has two modes. The naive one tries every substitution over the
 universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
@@ -38,7 +41,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import LimitExceeded, SolverTimeout
-from .syntax import Atom, Builtin, Constant, Integer, Program, Sum, Term, Variable
+from .syntax import (
+    Atom, Builtin, Constant, Integer, Program, Sum, Term, Variable, classify_predicates,
+)
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,7 @@ class GroundRule:
 
     def render(self) -> str:
         head = " | ".join(sorted(str(a) for a in self.head))
-        body = ", ".join(
-            sorted(str(a) for a in self.pos) + sorted(f"not {a}" for a in self.neg)
-        )
+        body = _render_body(self.pos, self.neg)
         if not body:
             return f"{head}."
         if not head:
@@ -92,10 +95,11 @@ class GroundWeakConstraint:
     level: int
 
     def render(self) -> str:
-        body = ", ".join(
-            sorted(str(a) for a in self.pos) + sorted(f"not {a}" for a in self.neg)
-        )
-        return f":~ {body}. [{self.weight}:{self.level}]"
+        return f":~ {_render_body(self.pos, self.neg)}. [{self.weight}:{self.level}]"
+
+
+def _render_body(pos: frozenset[Atom], neg: frozenset[Atom]) -> str:
+    return ", ".join(sorted(str(a) for a in pos) + sorted(f"not {a}" for a in neg))
 
 
 @dataclass(frozen=True)
@@ -155,23 +159,11 @@ def herbrand_universe(program: Program) -> frozenset[Term]:
     return frozenset(out)
 
 
-def _signatures(program: Program) -> set[tuple[str, int]]:
-    sigs: set[tuple[str, int]] = set()
-    for rule in program.rules:
-        for atom in rule.head:
-            sigs.add(atom.signature)
-        for atom in rule.positive_body_atoms() + rule.negative_body_atoms():
-            sigs.add(atom.signature)
-    for weak in program.weak_constraints:
-        for atom in weak.positive_body_atoms() + weak.negative_body_atoms():
-            sigs.add(atom.signature)
-    return sigs
-
-
 def herbrand_base(program: Program, limits: EvaluationLimits = DEFAULT_LIMITS) -> frozenset[Atom]:
     """Every atom formable from the program's predicates over its universe."""
     universe = sorted(herbrand_universe(program), key=_term_sort_key)
-    sigs = _signatures(program)
+    partition = classify_predicates(program)
+    sigs = partition.edb | partition.idb
     count = sum(len(universe) ** arity for _, arity in sigs)
     if count > limits.max_herbrand_base:
         raise LimitExceeded("herbrand base atoms", count, limits.max_herbrand_base)
@@ -642,11 +634,6 @@ def cost(interpretation: frozenset[Atom], gwcs) -> dict[int, int]:
 # Enumeration machinery
 # ---------------------------------------------------------------------------
 
-def _forced_atoms(gp: GroundProgram) -> frozenset[Atom]:
-    """Atoms every model must contain: heads of single-head rules with empty body."""
-    return frozenset(next(iter(r.head)) for r in gp.rules if r.is_fact)
-
-
 def _possible_atoms(gp: GroundProgram) -> frozenset[Atom]:
     """Least set closed under: head atoms of rules whose positive body is possible.
 
@@ -672,13 +659,23 @@ def _possible_atoms(gp: GroundProgram) -> frozenset[Atom]:
 
 
 class _MaskSpace:
-    """Candidate atoms as bit positions; forced atoms folded away."""
+    """The interpretations between the facts of ``gp`` and ``atoms``, as bit masks.
 
-    def __init__(self, candidates: list[Atom], forced: frozenset[Atom], possible: frozenset[Atom]):
-        self.candidates = candidates
-        self.forced = forced
-        self.possible = possible
-        self.bit = {atom: 1 << i for i, atom in enumerate(candidates)}
+    The facts are forced in and folded away. Every other atom of ``atoms`` is
+    a candidate: bit ``i`` is the ``i``-th in rendering order, and more than
+    ``max_candidate_atoms`` of them raise :class:`LimitExceeded`. ``possible``
+    is the facts plus the candidates; ``rules`` are the rules of ``gp``
+    folded into the space (``fold_rules``).
+    """
+
+    def __init__(self, gp: GroundProgram, atoms, limits: EvaluationLimits):
+        self.forced = frozenset(next(iter(r.head)) for r in gp.rules if r.is_fact)
+        self.candidates = sorted(set(atoms) - self.forced, key=str)
+        if len(self.candidates) > limits.max_candidate_atoms:
+            raise LimitExceeded("candidate atoms", len(self.candidates), limits.max_candidate_atoms)
+        self.possible = self.forced.union(self.candidates)
+        self.bit = {atom: 1 << i for i, atom in enumerate(self.candidates)}
+        self.rules = self.fold_rules(gp.rules)
 
     def mask_of(self, atoms) -> int:
         m = 0
@@ -850,18 +847,13 @@ def minimal_models(
     occurring: set[Atom] = set()
     for r in gp.rules:
         occurring |= r.head | r.pos | r.neg
-    forced = _forced_atoms(gp)
-    candidates = sorted(occurring - forced, key=str)
-    if len(candidates) > limits.max_candidate_atoms:
-        raise LimitExceeded("candidate atoms", len(candidates), limits.max_candidate_atoms)
-
     # Everything occurring is a "possible" atom here: plain models need no
     # derivability, so only the forced folding applies.
-    space = _MaskSpace(candidates, forced, frozenset(occurring) | forced)
-    folded = space.fold_rules(gp.rules)
+    space = _MaskSpace(gp, occurring, limits)
 
     minimal: list[int] = []
-    for m in sorted(_models(len(candidates), folded, deadline), key=lambda x: x.bit_count()):
+    models = _models(len(space.candidates), space.rules, deadline)
+    for m in sorted(models, key=lambda x: x.bit_count()):
         if not any((k & m) == k for k in minimal):
             minimal.append(m)
     return sorted((space.atoms_of(m) for m in minimal), key=render_interpretation)
@@ -878,16 +870,13 @@ def is_answer_set(
     if not is_model(interpretation, gp):
         return Verdict.NOT_A_MODEL
 
-    facts = _forced_atoms(gp)
-    removable = sorted(interpretation - facts, key=str)
-    if len(removable) > limits.max_candidate_atoms:
-        raise LimitExceeded("candidate atoms", len(removable), limits.max_candidate_atoms)
+    # The model contains the facts, so the candidates are the rest of it.
     # Folding over the interpretation keeps the rules whose positive body it
     # contains; the reduct w.r.t. the full mask then keeps those whose body is
     # true, with negative literals true for every subset.
-    space = _MaskSpace(removable, facts, interpretation)
-    full = (1 << len(removable)) - 1
-    if _has_smaller_model(full, space.fold_rules(gp.rules)):
+    space = _MaskSpace(gp, interpretation, limits)
+    full = (1 << len(space.candidates)) - 1
+    if _has_smaller_model(full, space.rules):
         return Verdict.NOT_MINIMAL
     return Verdict.YES
 
@@ -917,20 +906,12 @@ def _answer_sets_of_ground(
     limits: EvaluationLimits,
     deadline: float | None = None,
 ) -> list[AnswerSet]:
-    possible = _possible_atoms(gp)
-    forced = _forced_atoms(gp)
-    candidates = sorted(possible - forced, key=str)
-    if len(candidates) > limits.max_candidate_atoms:
-        raise LimitExceeded("candidate atoms", len(candidates), limits.max_candidate_atoms)
-
-    space = _MaskSpace(candidates, forced, possible)
-    folded = space.fold_rules(gp.rules)
+    space = _MaskSpace(gp, _possible_atoms(gp), limits)
     folded_weaks = space.fold_weaks(gp.weak_constraints)
-
     found = [
         AnswerSet(atoms=space.atoms_of(m), cost=_cost_of_mask(m, folded_weaks))
-        for m in _models(len(candidates), folded, deadline)
-        if not _has_smaller_model(m, folded, deadline)
+        for m in _models(len(space.candidates), space.rules, deadline)
+        if not _has_smaller_model(m, space.rules, deadline)
     ]
 
     found.sort(key=lambda s: render_interpretation(s.atoms))

@@ -118,8 +118,34 @@ class Builtin:
 BodyElement = Literal | Builtin
 
 
+class _Statement:
+    """Body accessors shared by :class:`Rule` and :class:`WeakConstraint`."""
+
+    __slots__ = ()
+
+    def positive_body_atoms(self) -> tuple[Atom, ...]:
+        return tuple(e.atom for e in self.body if isinstance(e, Literal) and not e.negated)
+
+    def negative_body_atoms(self) -> tuple[Atom, ...]:
+        return tuple(e.atom for e in self.body if isinstance(e, Literal) and e.negated)
+
+    def builtins(self) -> tuple[Builtin, ...]:
+        return tuple(e for e in self.body if isinstance(e, Builtin))
+
+    def _body_variables(self, seen: list[str]) -> list[str]:
+        for elem in self.body:
+            if isinstance(elem, Literal):
+                _collect_vars(elem.atom.terms, seen)
+            else:
+                _collect_vars(_operand_terms(elem.lhs) + _operand_terms(elem.rhs), seen)
+        return seen
+
+    def __str__(self) -> str:
+        return render(self)
+
+
 @dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(_Statement):
     head: tuple[Atom, ...] = ()
     body: tuple[BodyElement, ...] = ()
 
@@ -132,58 +158,25 @@ class Rule:
         """Single ground head atom and empty body."""
         return len(self.head) == 1 and not self.body and self.head[0].is_ground
 
-    def positive_body_atoms(self) -> tuple[Atom, ...]:
-        return tuple(e.atom for e in self.body if isinstance(e, Literal) and not e.negated)
-
-    def negative_body_atoms(self) -> tuple[Atom, ...]:
-        return tuple(e.atom for e in self.body if isinstance(e, Literal) and e.negated)
-
-    def builtins(self) -> tuple[Builtin, ...]:
-        return tuple(e for e in self.body if isinstance(e, Builtin))
-
     def variables(self) -> list[str]:
         """All variable names, in first-occurrence order."""
         seen: list[str] = []
         for atom in self.head:
             _collect_vars(atom.terms, seen)
-        for elem in self.body:
-            if isinstance(elem, Literal):
-                _collect_vars(elem.atom.terms, seen)
-            else:
-                _collect_vars(_operand_terms(elem.lhs) + _operand_terms(elem.rhs), seen)
-        return seen
-
-    def __str__(self) -> str:
-        return render(self)
+        return self._body_variables(seen)
 
 
 @dataclass(frozen=True, slots=True)
-class WeakConstraint:
+class WeakConstraint(_Statement):
     body: tuple[BodyElement, ...]
     weight: Term
     level: Term
 
-    def positive_body_atoms(self) -> tuple[Atom, ...]:
-        return tuple(e.atom for e in self.body if isinstance(e, Literal) and not e.negated)
-
-    def negative_body_atoms(self) -> tuple[Atom, ...]:
-        return tuple(e.atom for e in self.body if isinstance(e, Literal) and e.negated)
-
-    def builtins(self) -> tuple[Builtin, ...]:
-        return tuple(e for e in self.body if isinstance(e, Builtin))
-
     def variables(self) -> list[str]:
-        seen: list[str] = []
-        for elem in self.body:
-            if isinstance(elem, Literal):
-                _collect_vars(elem.atom.terms, seen)
-            else:
-                _collect_vars(_operand_terms(elem.lhs) + _operand_terms(elem.rhs), seen)
+        """All variable names, in first-occurrence order."""
+        seen = self._body_variables([])
         _collect_vars((self.weight, self.level), seen)
         return seen
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,19 +298,13 @@ class _Parser:
 
     # --- grammar ---
 
-    def parse_statements(self) -> tuple[list[Rule], list[WeakConstraint], list[int]]:
-        rules: list[Rule] = []
-        weaks: list[WeakConstraint] = []
-        weak_indices: list[int] = []
-        index = 0
+    def parse_statements(self) -> list[Rule | WeakConstraint]:
+        """Every statement up to EOF, in source order."""
+        statements: list[Rule | WeakConstraint] = []
         while self.peek().kind != "EOF":
-            if self.peek().kind == "WEAK":
-                weaks.append(self.parse_weak_constraint())
-                weak_indices.append(index)
-            else:
-                rules.append(self.parse_rule())
-            index += 1
-        return rules, weaks, weak_indices
+            weak = self.peek().kind == "WEAK"
+            statements.append(self.parse_weak_constraint() if weak else self.parse_rule())
+        return statements
 
     def parse_rule(self) -> Rule:
         head: list[Atom] = []
@@ -423,21 +410,19 @@ def parse_program(text: str, check_safety: bool = True) -> Program:
 
     Statement order is preserved (rules and weak constraints each keep their
     relative order). With ``check_safety`` every statement is safety-checked
-    and the first offender raises :class:`SafetyError`.
+    and the first offender raises :class:`SafetyError`, whose index counts
+    the statements in source order, weak constraints included.
     """
-    rules, weaks, weak_indices = _Parser(_tokenize(text)).parse_statements()
-    program = Program(rules=tuple(rules), weak_constraints=tuple(weaks))
+    statements = _Parser(_tokenize(text)).parse_statements()
     if check_safety:
-        weak_set = set(weak_indices)
-        rule_iter = iter(rules)
-        weak_iter = iter(weaks)
-        total = len(rules) + len(weaks)
-        for index in range(total):
-            stmt = next(weak_iter) if index in weak_set else next(rule_iter)
+        for index, stmt in enumerate(statements):
             unsafe = safety_check(stmt)
             if unsafe:
                 raise SafetyError(index, unsafe, render(stmt))
-    return program
+    return Program(
+        rules=tuple(s for s in statements if isinstance(s, Rule)),
+        weak_constraints=tuple(s for s in statements if isinstance(s, WeakConstraint)),
+    )
 
 
 def parse_witness(text: str, line: str, commas: bool) -> frozenset[Atom]:

@@ -110,10 +110,11 @@ def models_option(n: int, kind: str) -> OptionDescriptor:
 def parse_clingo_output(text: str) -> AnswerSets:
     """Parse clingo-style textual output.
 
-    Recognizes `Answer: N` followed by a whitespace-separated witness line,
-    `Optimization:` lines (values are per-level totals, highest level first,
-    lowest level last), the SATISFIABLE/UNSATISFIABLE/UNKNOWN verdict, and
-    `OPTIMUM FOUND`. Unrecognized lines are ignored.
+    Recognizes `Answer: N` followed by a whitespace-separated witness line
+    (empty for the empty model; output that ends at the header is
+    malformed), `Optimization:` lines (values are per-level totals, highest
+    level first, lowest level last), the SATISFIABLE/UNSATISFIABLE/UNKNOWN
+    verdict, and `OPTIMUM FOUND`. Unrecognized lines are ignored.
     """
     lines = text.splitlines()
     sets: list[AnswerSet] = []
@@ -127,7 +128,9 @@ def parse_clingo_output(text: str) -> AnswerSets:
             tail = stripped[len("Answer:"):].strip()
             if not tail.isdigit():
                 raise MalformedOutput(line, "expected an answer number")
-            witness = lines[i + 1] if i + 1 < len(lines) else ""
+            if i + 1 == len(lines):
+                raise MalformedOutput(line, "answer without a witness line")
+            witness = lines[i + 1]
             sets.append(AnswerSet(atoms=parse_witness(witness, witness, commas=False), cost={}))
             i += 2
             continue

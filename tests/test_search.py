@@ -28,6 +28,8 @@ from aspkit.refeval import (
     _MaskSpace,
     answer_sets,
     ground_program,
+    is_answer_set,
+    minimal_models,
 )
 from aspkit.syntax import parse_program
 
@@ -167,8 +169,7 @@ class TestDifferentialSearch:
         [only] = answer_sets(program)
         assert sorted(map(str, only.atoms)) == ["a", "b"]
         gp = ground_program(program)
-        space = _MaskSpace(sorted(only.atoms, key=str), frozenset(), only.atoms)
-        reduct = space.fold_rules(gp.rules)
+        reduct = _MaskSpace(gp, only.atoms, refeval.DEFAULT_LIMITS).rules
         assert refeval._must_atoms(0b11, reduct) == 0
         assert not _has_smaller_model(0b11, reduct)
 
@@ -199,8 +200,8 @@ class TestDeadlines:
 
     def test_deadline_is_checked_during_the_search(self, monkeypatch):
         gp = ground_program(parse_program(_pairs(11)), relevant=True)
-        candidates = sorted({a for r in gp.rules for a in r.head}, key=str)
-        folded = _MaskSpace(candidates, frozenset(), frozenset()).fold_rules(gp.rules)
+        heads = {a for r in gp.rules for a in r.head}
+        folded = _MaskSpace(gp, heads, refeval.DEFAULT_LIMITS).rules
         # the clock passes the deadline at the third check, 4096 nodes in
         monkeypatch.setattr(refeval, "time", _clock([0.0, 0.0, 2.0]))
         models = _models(22, folded, deadline=1.0)
@@ -227,4 +228,23 @@ class TestDeadlines:
             "candidate atoms",
             23,
             22,
+        )
+
+    @pytest.mark.parametrize("entry", ["answer_sets", "minimal_models", "is_answer_set"])
+    def test_candidate_limit_counts_the_atoms_besides_the_facts(self, entry):
+        # two facts and four other atoms; is_answer_set checks all six
+        program = parse_program("f. g. a | b. c | d.")
+        everything = frozenset(a for r in ground_program(program).rules for a in r.head)
+        call = {
+            "answer_sets": lambda limits: answer_sets(program, limits),
+            "minimal_models": lambda limits: minimal_models(ground_program(program), limits),
+            "is_answer_set": lambda limits: is_answer_set(everything, program, limits),
+        }[entry]
+        call(EvaluationLimits(max_candidate_atoms=4))
+        with pytest.raises(LimitExceeded) as caught:
+            call(EvaluationLimits(max_candidate_atoms=3))
+        assert (caught.value.what, caught.value.count, caught.value.limit) == (
+            "candidate atoms",
+            4,
+            3,
         )

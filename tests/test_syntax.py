@@ -197,6 +197,19 @@ class TestSafety:
             parse_program("a.\nb.\np(X) :- not q(X).")
         assert err.value.statement_index == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a. :~ a. [1:1]\np(X) :- not q(X).",
+            "a. b :- a.\n:~ p(X), not q(Y). [1:1]",
+            ":~ a. [1:1]\nb.\n:~ not q(Y). [1:0]\np(X) :- q(X).",
+        ],
+    )
+    def test_safety_error_index_counts_weak_constraints_in_source_order(self, text):
+        with pytest.raises(SafetyError) as err:
+            parse_program(text)
+        assert err.value.statement_index == 2
+
     def test_weak_constraint_weight_must_be_bound(self):
         with pytest.raises(SafetyError):
             parse_program(":~ a(X). [W:1]")

@@ -151,6 +151,16 @@ class TestClingoOutputParsing:
         with pytest.raises(MalformedOutput):
             parse_clingo_output("Answer: 1\na(\nSATISFIABLE")
 
+    def test_answer_header_without_a_witness_line(self):
+        with pytest.raises(MalformedOutput) as err:
+            parse_clingo_output("Solving...\nAnswer: 1")
+        assert err.value.line == "Answer: 1"
+
+    def test_empty_witness_line_is_the_empty_model(self):
+        assert parse_clingo_output("Answer: 1\n\nSATISFIABLE") == AnswerSets(
+            sets=(AnswerSet(atoms=frozenset()),), satisfiable="sat"
+        )
+
     def test_malformed_answer_number(self):
         with pytest.raises(MalformedOutput):
             parse_clingo_output("Answer: x\na\nSATISFIABLE")
