@@ -66,7 +66,6 @@ from .systems import (
     dlv_solver,
     filter_option,
     invoke_solver,
-    models_option,
     parse_clingo_output,
     parse_dlv_output,
     reference_solver,

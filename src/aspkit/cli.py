@@ -113,20 +113,23 @@ def _print_sets(sets: list[AnswerSet], args) -> None:
 
 
 def cmd_solve(args) -> int:
-    if args.filter and args.system == "clingo":
+    spec = SOLVERS[args.system]()
+    if args.filter and not spec.accepts_filter:
         sys.stderr.write("error: --filter is only supported with --system ref or dlv\n")
         return EXIT_USAGE
     if args.models < 0:
         sys.stderr.write("error: --models must be >= 0\n")
         return EXIT_USAGE
 
-    spec = SOLVERS[args.system]()
     handler = Handler(spec, limits=_limits(args))
     handler.add_program("\n".join(Path(p).read_text() for p in args.paths))
     # Optimal sets can come after the first k models, so --optimize asks for all.
-    handler.add_option(systems.models_option(0 if args.optimize else args.models, spec.kind))
-    if args.filter and args.system == "dlv":
-        handler.add_option(systems.filter_option(args.filter.split(",")))
+    handler.add_option(spec.models_option(0 if args.optimize else args.models))
+    if args.filter:
+        # Checked for every system; the sets are projected after parsing either way.
+        option = systems.filter_option(args.filter.split(","))
+        if spec.passes_filter:
+            handler.add_option(option)
     output = handler.start_sync()
     if not output.ok:
         sys.stderr.write(f"error: {output.error.message}\n")

@@ -89,3 +89,11 @@ class MalformedOutput(AspkitError):
 
 class EmptyFilter(AspkitError):
     pass
+
+
+class UnsupportedOption(AspkitError):
+    """A solver was given option text it cannot read."""
+
+    def __init__(self, system: str, option: str):
+        super().__init__(f"the {system} system cannot read option {option!r}")
+        self.option = option

@@ -138,7 +138,7 @@ class Handler:
 
     def __init__(
         self,
-        solver,  # aspkit.systems.SolverSpec
+        solver,  # an aspkit.systems.SolverSpec: runs the program, reads its output
         registry: SchemaRegistry | None = None,
         limits: EvaluationLimits = DEFAULT_LIMITS,
     ):
@@ -238,10 +238,10 @@ class Handler:
                     "nonzero_exit", str(exc), exit_code=exc.code, stderr=exc.stderr
                 ),
             )
-        except AspkitError as exc:  # reference-evaluation errors: parse, safety, limits
+        except AspkitError as exc:  # reference errors: parse, safety, limits, options
             return Output(raw="", error=SolverFailure("evaluation_error", str(exc)))
         try:
-            parsed = systems.parse_output(self.solver, raw)
+            parsed = self.solver.parse_output(raw)
         except MalformedOutput as exc:
             return Output(raw=raw, error=SolverFailure("malformed_output", str(exc)))
         return Output(raw=raw, answer_sets=parsed)

@@ -1,12 +1,13 @@
-"""Per-solver adapters: invocation, option builders, and output parsing.
+"""One object per ASP system: its options, invocation and output parser.
 
-External solvers are black boxes reached through a subprocess with the input
-program in a temporary file. The built-in reference evaluator is exposed
-through the same interface and renders its results in the clingo textual
-style, so the clingo parser path is exercised with no binary installed.
-`aspkit solve` reaches every system through these adapters, via `Handler`.
-Witness atoms of both output formats are read by `syntax.parse_witness`, on
-the same tokenizer as programs.
+Each system is a subclass of :class:`SolverSpec`; an instance holds only the
+executable and the options every run gets first. External systems are black
+boxes reached through a subprocess with the input program in a temporary
+file. The built-in reference evaluator runs in process and renders its
+results in the clingo textual style, so the clingo parser path is exercised
+with no binary installed. `aspkit solve` reaches every system through these
+objects, via `Handler`. Witness atoms of both output formats are read by
+`syntax.parse_witness`, on the same tokenizer as programs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import shutil
 import subprocess
 import tempfile
 import time
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import refeval
 from .errors import (
@@ -26,43 +29,173 @@ from .errors import (
     NonzeroExit,
     SolverNotFound,
     SolverTimeout,
+    UnsupportedOption,
 )
 from .orchestration import OptionDescriptor
 from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits
 from .syntax import SYMBOL_RE, parse_program, parse_witness
 
-ENV_EXECUTABLE = {"clingo": "ASP_EMBED_CLINGO", "dlv": "ASP_EMBED_DLV"}
 ENV_KEEP_TEMP = "ASP_EMBED_KEEP_TEMP"
-
-# Exit codes that signal a completed run rather than a failure. The clingo
-# family encodes the solving outcome: 10 sat, 20 unsat, 30 sat + search space
-# exhausted. DLV exits 0 on normal completion.
-_OK_EXIT_CODES = {"clingo": {0, 10, 20, 30}, "dlv": {0}}
 
 
 @dataclass(frozen=True)
-class SolverSpec:
-    kind: str  # reference | clingo | dlv
+class SolverSpec(ABC):
+    """An ASP system; each subclass is one system and adds no fields.
+
+    A subclass is a dataclass of its own only where it checks its fields
+    in `__post_init__`. Methods reach this module's parsers and helpers
+    through their global names at run time, never through values bound at
+    import, so a wrapper patched onto the module sees every call.
+    """
+
     executable: str | None = None
     default_options: tuple[OptionDescriptor, ...] = ()
 
+    name: ClassVar[str]
+    models_syntax: ClassVar[str]  # the model-count option, formatted with the count
+    accepts_filter: ClassVar[bool]  # `aspkit solve --filter` may be used at all
+    passes_filter: ClassVar[bool]  # `--filter` also reaches the solver as `-filter=`
+
+    def models_option(self, n: int) -> OptionDescriptor:
+        """Enumeration count option; 0 asks for all models."""
+        if n < 0:
+            raise ValueError("model count must be >= 0")
+        return OptionDescriptor(self.models_syntax.format(n))
+
+    @abstractmethod
+    def invoke(self, input_text: str, options, timeout, limits) -> str:
+        """Run over program text and return the raw textual output."""
+
+    @abstractmethod
+    def parse_output(self, raw: str) -> AnswerSets:
+        """Read the raw output into answer sets and a verdict."""
+
+
+@dataclass(frozen=True)
+class ReferenceSystem(SolverSpec):
+    """The built-in evaluator, run in process, printing clingo-style text.
+
+    Its only option is the positional model count; other option text is
+    refused rather than ignored.
+    """
+
+    name = "reference"
+    models_syntax = "{}"
+    accepts_filter = True
+    passes_filter = False
+
     def __post_init__(self):
-        if self.kind not in ("reference", "clingo", "dlv"):
-            raise ValueError(f"unknown solver kind {self.kind!r}")
-        if self.kind == "reference" and self.executable is not None:
+        if self.executable is not None:
             raise ValueError("the reference evaluator has no executable")
+
+    def invoke(self, input_text, options, timeout, limits) -> str:
+        model_cap = self._model_cap(options)
+        deadline = time.monotonic() + timeout if timeout is not None else None
+        program = parse_program(input_text)
+        sets = refeval.answer_sets(program, limits, deadline=deadline)
+        return render_reference_output(
+            sets,
+            has_weak_constraints=bool(program.weak_constraints),
+            model_cap=model_cap,
+        )
+
+    def _model_cap(self, options) -> int:
+        """The count of the last model-count option; 0 (all models) without one."""
+        cap = 0
+        for opt in options:
+            for arg in opt.as_args():
+                if not (arg.isascii() and arg.isdigit()):
+                    raise UnsupportedOption(self.name, opt.option_text)
+                cap = int(arg)
+        return cap
+
+    def parse_output(self, raw: str) -> AnswerSets:
+        return parse_clingo_output(raw)
+
+
+class _ExternalSystem(SolverSpec):
+    """A solver binary run as a subprocess on a temporary input file."""
+
+    env_executable: ClassVar[str]  # overrides the configured executable
+    ok_exit_codes: ClassVar[frozenset[int]]  # exit codes of a completed run
+
+    def resolve_executable(self) -> str:
+        override = os.environ.get(self.env_executable)
+        candidate = override or self.executable or shutil.which(self.name)
+        if not candidate:
+            raise SolverNotFound(
+                f"no {self.name} executable configured (set ${self.env_executable})"
+            )
+        if not shutil.which(candidate):
+            raise SolverNotFound(f"{self.name} executable {candidate!r} not found")
+        return candidate
+
+    def invoke(self, input_text, options, timeout, limits) -> str:
+        # The temporary file is kept after the run when $ASP_EMBED_KEEP_TEMP is set.
+        executable = self.resolve_executable()
+        args = [arg for opt in options for arg in opt.as_args()]
+        fd, path = tempfile.mkstemp(suffix=".lp", prefix="aspkit-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(input_text)
+                if not input_text.endswith("\n"):
+                    handle.write("\n")
+            try:
+                proc = subprocess.run(
+                    [executable, *args, path],
+                    capture_output=True,
+                    text=True,
+                    timeout=timeout,
+                )
+            except subprocess.TimeoutExpired as exc:
+                raise SolverTimeout(f"{self.name} exceeded {timeout}s") from exc
+            if proc.returncode not in self.ok_exit_codes:
+                raise NonzeroExit(proc.returncode, proc.stderr)
+            return proc.stdout
+        finally:
+            if not os.environ.get(ENV_KEEP_TEMP):
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
+
+
+class ClingoSystem(_ExternalSystem):
+    name = "clingo"
+    env_executable = "ASP_EMBED_CLINGO"
+    # The exit code encodes the solving outcome: 10 sat, 20 unsat, 30 sat +
+    # search space exhausted.
+    ok_exit_codes = frozenset({0, 10, 20, 30})
+    models_syntax = "{}"
+    accepts_filter = False
+    passes_filter = False
+
+    def parse_output(self, raw: str) -> AnswerSets:
+        return parse_clingo_output(raw)
+
+
+class DlvSystem(_ExternalSystem):
+    name = "dlv"
+    env_executable = "ASP_EMBED_DLV"
+    ok_exit_codes = frozenset({0})
+    models_syntax = "-n={}"
+    accepts_filter = True
+    passes_filter = True
+
+    def parse_output(self, raw: str) -> AnswerSets:
+        return parse_dlv_output(raw)
 
 
 def reference_solver() -> SolverSpec:
-    return SolverSpec(kind="reference")
+    return ReferenceSystem()
 
 
 def clingo_solver(executable: str | None = None, default_options=()) -> SolverSpec:
-    return SolverSpec(kind="clingo", executable=executable, default_options=tuple(default_options))
+    return ClingoSystem(executable=executable, default_options=tuple(default_options))
 
 
 def dlv_solver(executable: str | None = None, default_options=()) -> SolverSpec:
-    return SolverSpec(kind="dlv", executable=executable, default_options=tuple(default_options))
+    return DlvSystem(executable=executable, default_options=tuple(default_options))
 
 
 @dataclass(frozen=True)
@@ -92,15 +225,6 @@ def filter_option(predicates: list[str]) -> OptionDescriptor:
         if not SYMBOL_RE.match(name):
             raise EmptyFilter(f"invalid predicate name {name!r}")
     return OptionDescriptor(f"-filter={','.join(predicates)}")
-
-
-def models_option(n: int, kind: str) -> OptionDescriptor:
-    """Enumeration count flag; 0 asks for all models."""
-    if n < 0:
-        raise ValueError("model count must be >= 0")
-    if kind == "dlv":
-        return OptionDescriptor(f"-n={n}")
-    return OptionDescriptor(str(n))  # clingo and the reference take it positionally
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +325,9 @@ def parse_dlv_output(text: str) -> AnswerSets:
     return AnswerSets(sets=tuple(sets), satisfiable=satisfiable, optimum_found=optimum_found)
 
 
-def parse_output(spec: SolverSpec, raw: str) -> AnswerSets:
-    if spec.kind == "dlv":
-        return parse_dlv_output(raw)
-    return parse_clingo_output(raw)
-
-
 # ---------------------------------------------------------------------------
 # Invocation
 # ---------------------------------------------------------------------------
-
-def resolve_executable(spec: SolverSpec) -> str:
-    env_name = ENV_EXECUTABLE.get(spec.kind, "")
-    override = os.environ.get(env_name)
-    candidate = override or spec.executable or shutil.which(spec.kind)
-    if not candidate:
-        raise SolverNotFound(f"no {spec.kind} executable configured (set ${env_name})")
-    if not shutil.which(candidate):
-        raise SolverNotFound(f"{spec.kind} executable {candidate!r} not found")
-    return candidate
-
 
 def invoke_solver(
     spec: SolverSpec,
@@ -229,65 +336,8 @@ def invoke_solver(
     timeout: float | None = None,
     limits: EvaluationLimits = DEFAULT_LIMITS,
 ) -> str:
-    """Run a solver over program text and return its raw textual output.
-
-    External solvers get the input through a temporary file (removed after
-    the run unless $ASP_EMBED_KEEP_TEMP is set). The reference evaluator runs
-    in process and renders clingo-style text.
-    """
-    if spec.kind == "reference":
-        return _run_reference(input_text, options, timeout, limits)
-
-    executable = resolve_executable(spec)
-    args = [arg for opt in options for arg in opt.as_args()]
-    fd, path = tempfile.mkstemp(suffix=".lp", prefix="aspkit-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(input_text)
-            if not input_text.endswith("\n"):
-                handle.write("\n")
-        try:
-            proc = subprocess.run(
-                [executable, *args, path],
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise SolverTimeout(f"{spec.kind} exceeded {timeout}s") from exc
-        if proc.returncode not in _OK_EXIT_CODES[spec.kind]:
-            raise NonzeroExit(proc.returncode, proc.stderr)
-        return proc.stdout
-    finally:
-        if not os.environ.get(ENV_KEEP_TEMP):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-
-def _model_cap(options) -> int:
-    for opt in options:
-        for arg in opt.as_args():
-            if arg.isdigit():
-                return int(arg)
-    return 0
-
-
-def _run_reference(
-    input_text: str,
-    options,
-    timeout: float | None,
-    limits: EvaluationLimits,
-) -> str:
-    deadline = time.monotonic() + timeout if timeout is not None else None
-    program = parse_program(input_text)
-    sets = refeval.answer_sets(program, limits, deadline=deadline)
-    return render_reference_output(
-        sets,
-        has_weak_constraints=bool(program.weak_constraints),
-        model_cap=_model_cap(options),
-    )
+    """Run a solver over program text and return its raw textual output."""
+    return spec.invoke(input_text, options, timeout, limits)
 
 
 def render_reference_output(

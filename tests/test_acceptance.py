@@ -47,7 +47,6 @@ from aspkit.systems import (
     AnswerSets,
     clingo_solver,
     invoke_solver,
-    models_option,
     parse_clingo_output,
     parse_dlv_output,
     reference_solver,
@@ -125,8 +124,8 @@ def test_criterion_2_ramsey_n3():
 @pytest.mark.skipif(external_clingo() is None, reason="no clingo executable available")
 def test_criterion_2_ramsey_n9_external():
     raw = invoke_solver(
-        clingo_solver(external_clingo()), encodings.RAMSEY_N9, [models_option(1, "clingo")],
-        timeout=300,
+        clingo_solver(external_clingo()), encodings.RAMSEY_N9,
+        [clingo_solver().models_option(1)], timeout=300,
     )
     assert parse_clingo_output(raw).satisfiable == "unsat"
 

@@ -140,8 +140,15 @@ class TestSolve:
         )
 
     def test_filter_without_matching_predicate_prints_empty_sets(self, bundle_dir):
-        code, out, _ = run_cli("solve", "--filter", "Color", str(bundle_dir / "3col-k3.lp"))
+        code, out, _ = run_cli("solve", "--filter", "colour", str(bundle_dir / "3col-k3.lp"))
         assert (code, out) == (0, "{}\n" * 6)
+
+    @pytest.mark.parametrize("system", ["ref", "dlv"])
+    @pytest.mark.parametrize("names, bad", [("Color", "Color"), ("color,Bad Name", "Bad Name")])
+    def test_filter_names_are_checked_for_every_system(self, bundle_dir, system, names, bad):
+        assert run_cli(
+            "solve", "--system", system, "--filter", names, str(bundle_dir / "3col-k3.lp")
+        ) == (1, "", f"error: invalid predicate name {bad!r}\n")
 
     def test_determinism_two_runs(self, bundle_dir):
         results = [

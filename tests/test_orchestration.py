@@ -152,6 +152,17 @@ class TestStartSync:
         output = handler.start_sync()
         assert output.error.kind == "evaluation_error"
 
+    @pytest.mark.parametrize(
+        "option", [OptionDescriptor("-n=1"), OptionDescriptor("--stats level", " ")]
+    )
+    def test_reference_refuses_options_it_cannot_read(self, option):
+        handler = Handler(reference_solver())
+        handler.add_program("a | b.")
+        handler.add_option(option)
+        output = handler.start_sync()
+        assert output.error.kind == "evaluation_error"
+        assert repr(option.option_text) in output.error.message
+
     def test_nonzero_exit_carries_stderr(self, tmp_path):
         script = make_script(tmp_path, "broken", 'echo "boom" >&2\nexit 3\n')
         handler = Handler(clingo_solver(script))
@@ -221,6 +232,21 @@ class TestStartAsync:
         handler.start_async(results.put)
         output = results.get(timeout=10)
         assert output.error.kind == "solver_not_found"
+
+    def test_refused_option_delivered_exactly_once(self):
+        handler = Handler(reference_solver())
+        handler.add_program("a | b.")
+        handler.add_option("-n=1")
+        results: "queue.Queue[Output]" = queue.Queue()
+        job_id = handler.start_async(results.put)
+        output = results.get(timeout=10)
+        assert output.error.kind == "evaluation_error"
+        assert "'-n=1'" in output.error.message
+        for thread in threading.enumerate():
+            if thread.name == f"aspkit-job-{job_id[:8]}":
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        assert results.empty()
 
     def test_callback_exception_does_not_break_delivery(self):
         handler = Handler(reference_solver())

@@ -17,17 +17,17 @@ from aspkit.refeval import AnswerSet, answer_sets, render_interpretation
 from aspkit.syntax import Atom, Constant, Integer, parse_program
 from aspkit.systems import (
     AnswerSets,
+    ClingoSystem,
+    ReferenceSystem,
     SolverSpec,
     clingo_solver,
     dlv_solver,
     filter_option,
     invoke_solver,
-    models_option,
     parse_clingo_output,
     parse_dlv_output,
     reference_solver,
     render_reference_output,
-    resolve_executable,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -73,13 +73,25 @@ class TestOptionBuilders:
             filter_option(["Bad Name"])
 
     def test_models_clingo_all(self):
-        assert models_option(0, "clingo").as_args() == ["0"]
+        assert clingo_solver().models_option(0).as_args() == ["0"]
 
     def test_models_clingo_one(self):
-        assert models_option(1, "clingo").as_args() == ["1"]
+        assert clingo_solver().models_option(1).as_args() == ["1"]
 
     def test_models_dlv(self):
-        assert models_option(5, "dlv").as_args() == ["-n=5"]
+        assert dlv_solver().models_option(5).as_args() == ["-n=5"]
+
+    @pytest.mark.parametrize(
+        "system, args",
+        [(reference_solver, ["3"]), (clingo_solver, ["3"]), (dlv_solver, ["-n=3"])],
+    )
+    def test_each_system_writes_its_own_model_count(self, system, args):
+        assert system().models_option(3).as_args() == args
+
+    @pytest.mark.parametrize("system", [reference_solver, clingo_solver, dlv_solver])
+    def test_negative_model_count(self, system):
+        with pytest.raises(ValueError):
+            system().models_option(-1)
 
 
 CLINGO_EXPECTED = {
@@ -244,8 +256,14 @@ class TestReferenceSolver:
         ]
 
     def test_model_cap_option(self):
-        raw = invoke_solver(reference_solver(), "a | b.", [models_option(1, "clingo")])
+        raw = invoke_solver(reference_solver(), "a | b.", [reference_solver().models_option(1)])
         assert "Answer: 1" in raw and "Answer: 2" not in raw
+
+    def test_the_last_model_count_wins(self):
+        # a Handler passes the system's default options before the caller's
+        spec = reference_solver()
+        raw = invoke_solver(spec, "a | b | c.", [spec.models_option(1), spec.models_option(2)])
+        assert "Answer: 2" in raw and "Answer: 3" not in raw
 
     def test_timeout(self):
         with pytest.raises(SolverTimeout):
@@ -303,7 +321,7 @@ class TestExternalAgreement:
     def test_atom_sets_agree(self, text):
         reference_sets = {s.atoms for s in answer_sets(parse_program(text))}
         raw = invoke_solver(
-            clingo_solver(_CLINGO), text, [models_option(0, "clingo")], timeout=60
+            clingo_solver(_CLINGO), text, [clingo_solver().models_option(0)], timeout=60
         )
         external = parse_clingo_output(raw)
         assert {s.atoms for s in external.sets} == reference_sets
@@ -312,9 +330,17 @@ class TestExternalAgreement:
 class TestInvocation:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SolverSpec(kind="reference", executable="/bin/true")
-        with pytest.raises(ValueError):
-            SolverSpec(kind="mystery")
+            ReferenceSystem(executable="/bin/true")
+        with pytest.raises(TypeError):
+            SolverSpec()  # abstract: each system is a subclass
+        with pytest.raises(TypeError):
+            ClingoSystem(kind="clingo")
+
+    def test_the_reference_has_no_external_system_facts(self):
+        spec = reference_solver()
+        assert not hasattr(spec, "env_executable")
+        assert not hasattr(spec, "ok_exit_codes")
+        assert not spec.passes_filter
 
     def test_solver_not_found(self):
         with pytest.raises(SolverNotFound):
@@ -328,7 +354,7 @@ class TestInvocation:
         script = make_script(tmp_path, "fromenv", 'echo "Answer: 1"\necho "a"\necho "SATISFIABLE"\nexit 10\n')
         monkeypatch.setenv("ASP_EMBED_CLINGO", script)
         spec = clingo_solver("/no/such/binary")
-        assert resolve_executable(spec) == script
+        assert spec.resolve_executable() == script
         raw = invoke_solver(spec, "a.")
         assert "Answer: 1" in raw
 
