@@ -75,11 +75,23 @@ def _solver_flags(sub: argparse.ArgumentParser) -> None:
     _limit_flags(sub)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _limit_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--limit-atoms", type=int, default=DEFAULT_LIMITS.max_candidate_atoms)
+    sub.add_argument(
+        "--limit-atoms", type=_positive_int, default=DEFAULT_LIMITS.max_candidate_atoms
+    )
     sub.add_argument(
         "--limit-rules",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_LIMITS.max_ground_rules,
         help="most ground instances kept; solve keeps only those with a derivable positive body",
     )
@@ -98,7 +110,7 @@ def _read_program(paths) -> Program:
 
 
 def _print_sets(sets: list[AnswerSet], args) -> None:
-    filter_names = set(args.filter.split(",")) if args.filter else None
+    filter_names = None if args.filter is None else set(args.filter.split(","))
     shown = sets if args.models == 0 else sets[: args.models]
     for answer in shown:
         atoms = answer.atoms
@@ -114,7 +126,7 @@ def _print_sets(sets: list[AnswerSet], args) -> None:
 
 def cmd_solve(args) -> int:
     spec = SOLVERS[args.system]()
-    if args.filter and not spec.accepts_filter:
+    if args.filter is not None and not spec.accepts_filter:
         sys.stderr.write("error: --filter is only supported with --system ref or dlv\n")
         return EXIT_USAGE
     if args.models < 0:
@@ -125,7 +137,7 @@ def cmd_solve(args) -> int:
     handler.add_program("\n".join(Path(p).read_text() for p in args.paths))
     # Optimal sets can come after the first k models, so --optimize asks for all.
     handler.add_option(spec.models_option(0 if args.optimize else args.models))
-    if args.filter:
+    if args.filter is not None:
         # Checked for every system; the sets are projected after parsing either way.
         option = systems.filter_option(args.filter.split(","))
         if spec.passes_filter:

@@ -17,12 +17,13 @@ plus any of the ``2^n`` subsets of ``n`` candidate atoms, with
 ``max_candidate_atoms`` capping ``n``. One class, ``_MaskSpace``, builds it
 from a ground program and the atoms it may contain: the derivable atoms for
 ``answer_sets``, the occurring ones for ``minimal_models`` and the checked
-interpretation for ``is_answer_set``. Enumeration is a backtracking search
-over that space that drops a partial assignment as soon as it violates a
-rule. Minimality is a least-model check of the reduct, with a search of the
-smaller candidates only when head cycles leave it undecided. This module
-trades speed for being small enough to audit, and doubles as the test oracle
-for the rest of the package.
+interpretation for ``is_answer_set``. One backtracking search, ``_models``,
+drops a partial assignment as soon as it violates a rule; it enumerates the
+space and also serves both minimality checks, which search the submasks of a
+model with that model forbidden. For answer sets a least-model check of the
+reduct comes first, and the search runs only when head cycles leave it
+undecided. This module trades speed for being small enough to audit, and
+doubles as the test oracle for the rest of the package.
 
 Grounding has two modes. The naive one tries every substitution over the
 universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
@@ -738,43 +739,41 @@ class _MaskSpace:
         return out
 
 
-def _is_model_mask(m: int, folded) -> bool:
-    for head, pos, neg in folded:
-        if (m & pos) == pos and not (m & neg) and not (m & head):
-            return False
-    return True
+def _models(bits: int, folded, deadline: float | None, base: int = 0):
+    """Every ``base | sub``, ``sub`` a submask of ``bits``, that satisfies the folded rules.
 
-
-def _models(n: int, folded, deadline: float | None):
-    """Every mask over ``n`` bits that satisfies the folded rules, by depth-first search.
-
-    Bits are assigned from the lowest up. Each rule sits in the bucket of its
-    highest bit and is checked as soon as that bit is assigned, so a partial
-    mask that violates it is dropped with every extension. A rule with no bits
-    is violated by every mask.
+    A depth-first search that assigns the bits of ``bits`` from the lowest up.
+    Each rule sits in the bucket of its highest bit inside ``bits`` and is
+    checked as soon as that bit is assigned, so a partial mask that violates
+    it is dropped with every extension. A rule with no bit inside ``bits`` is
+    checked once against ``base``. Full enumeration is ``bits`` all candidates
+    and ``base`` 0; both minimality checks search the submasks of a model.
     """
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    buckets: dict[int, list[tuple[int, int]]] = {}
     for head, pos, neg in folded:
-        bits = head | pos | neg
-        if not bits:
+        inside = (head | pos | neg) & bits
+        if inside:
+            buckets.setdefault(1 << inside.bit_length() - 1, []).append((pos, head | neg))
+        elif (base & pos) == pos and not (base & (head | neg)):
             return
-        buckets[bits.bit_length() - 1].append((pos, head | neg))
-    stack = [(0, 0)]
+    stack = [(bits, base)]
     ticks = 0
     while stack:
         if deadline is not None and ticks % 2048 == 0 and time.monotonic() > deadline:
             raise SolverTimeout("enumeration deadline exceeded")
         ticks += 1
-        i, m = stack.pop()
-        if i == n:
+        rest, m = stack.pop()
+        if not rest:
             yield m
             continue
-        for ext in (m | 1 << i, m):
-            for pos, out in buckets[i]:
+        bit = rest & -rest
+        rules = buckets.get(bit, ())
+        for ext in (m | bit, m):
+            for pos, out in rules:
                 if (ext & pos) == pos and not (ext & out):
                     break
             else:
-                stack.append((i + 1, ext))
+                stack.append((rest ^ bit, ext))
 
 
 def _must_atoms(m: int, reduct) -> int:
@@ -800,8 +799,9 @@ def _has_smaller_model(m: int, folded, deadline: float | None = None) -> bool:
 
     When ``_must_atoms`` is all of ``m`` there is none; for normal and
     head-cycle-free programs this is the least-model check (Ben-Eliyahu &
-    Dechter 1994) and decides every answer set. Otherwise the proper submasks
-    of ``m`` that contain it are searched, which only head cycles can pass.
+    Dechter 1994) and decides every answer set. Otherwise ``_models`` searches
+    the submasks of ``m`` that contain it, with one more rule that forbids
+    ``m`` itself; only head cycles can leave one.
     """
     reduct = [
         (head, pos, neg)
@@ -809,17 +809,10 @@ def _has_smaller_model(m: int, folded, deadline: float | None = None) -> bool:
         if (m & pos) == pos and not (m & neg)
     ]
     must = _must_atoms(m, reduct)
+    if must == m:
+        return False
     free = m & ~must
-    sub = free
-    ticks = 0
-    while sub:
-        if deadline is not None and ticks % 8192 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout("enumeration deadline exceeded")
-        ticks += 1
-        sub = (sub - 1) & free
-        if _is_model_mask(must | sub, reduct):
-            return True
-    return False
+    return next(_models(free, reduct + [(0, free, 0)], deadline, must), None) is not None
 
 
 def _cost_of_mask(m: int, folded_weaks) -> dict[int, int]:
@@ -842,7 +835,9 @@ def minimal_models(
     """All subset-minimal models of the ground rules, from the backtracking search.
 
     Candidates range over every atom occurring in the program (facts forced
-    in); returned in canonical rendering order.
+    in). Each model ``m`` is kept when ``_models`` finds no model among its
+    submasks once ``m`` itself is forbidden; returned in canonical rendering
+    order.
     """
     occurring: set[Atom] = set()
     for r in gp.rules:
@@ -850,13 +845,12 @@ def minimal_models(
     # Everything occurring is a "possible" atom here: plain models need no
     # derivability, so only the forced folding applies.
     space = _MaskSpace(gp, occurring, limits)
-
-    minimal: list[int] = []
-    models = _models(len(space.candidates), space.rules, deadline)
-    for m in sorted(models, key=lambda x: x.bit_count()):
-        if not any((k & m) == k for k in minimal):
-            minimal.append(m)
-    return sorted((space.atoms_of(m) for m in minimal), key=render_interpretation)
+    minimal = [
+        space.atoms_of(m)
+        for m in _models((1 << len(space.candidates)) - 1, space.rules, deadline)
+        if next(_models(m, space.rules + [(0, m, 0)], deadline), None) is None
+    ]
+    return sorted(minimal, key=render_interpretation)
 
 
 def is_answer_set(
@@ -910,7 +904,7 @@ def _answer_sets_of_ground(
     folded_weaks = space.fold_weaks(gp.weak_constraints)
     found = [
         AnswerSet(atoms=space.atoms_of(m), cost=_cost_of_mask(m, folded_weaks))
-        for m in _models(len(space.candidates), space.rules, deadline)
+        for m in _models((1 << len(space.candidates)) - 1, space.rules, deadline)
         if not _has_smaller_model(m, space.rules, deadline)
     ]
 

@@ -15,10 +15,9 @@ from typing import NamedTuple
 
 from .errors import MalformedOutput, ParseError, SafetyError
 
-VARIABLE_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*$")
-SYMBOL_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
-
-COMPARISON_OPS = ("=", "!=", "<", ">", "<=", ">=")
+# A whole string that the tokenizer reads as one identifier: the keyword `not`
+# and trailing newlines are not symbols.
+SYMBOL_RE = re.compile(r"(?!not\Z)[a-z][A-Za-z0-9_]*\Z")
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ class Literal:
 
 @dataclass(frozen=True, slots=True)
 class Builtin:
-    op: str  # one of COMPARISON_OPS; `<>` is normalized to `!=` at parse time
+    op: str
     lhs: Term | Sum
     rhs: Term | Sum
 

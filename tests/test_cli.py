@@ -1,3 +1,4 @@
+import hashlib
 import os
 import stat
 import subprocess
@@ -5,6 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from aspkit import cli, encodings
+from aspkit.syntax import parse_program
 
 BASE = [sys.executable, "-m", "aspkit"]
 
@@ -144,11 +148,21 @@ class TestSolve:
         assert (code, out) == (0, "{}\n" * 6)
 
     @pytest.mark.parametrize("system", ["ref", "dlv"])
-    @pytest.mark.parametrize("names, bad", [("Color", "Color"), ("color,Bad Name", "Bad Name")])
+    @pytest.mark.parametrize(
+        "names, bad",
+        [("Color", "Color"), ("color,Bad Name", "Bad Name"), ("", ""), ("not", "not")],
+    )
     def test_filter_names_are_checked_for_every_system(self, bundle_dir, system, names, bad):
         assert run_cli(
             "solve", "--system", system, "--filter", names, str(bundle_dir / "3col-k3.lp")
         ) == (1, "", f"error: invalid predicate name {bad!r}\n")
+
+    def test_empty_filter_with_clingo_is_a_usage_error(self, bundle_dir):
+        code, _, err = run_cli(
+            "solve", "--system", "clingo", "--filter", "", str(bundle_dir / "3col-k3.lp")
+        )
+        assert code == 2
+        assert "--filter" in err
 
     def test_determinism_two_runs(self, bundle_dir):
         results = [
@@ -326,3 +340,89 @@ class TestUsage:
     def test_negative_model_count(self, bundle_dir):
         code, _, _ = run_cli("solve", "-n", "-2", str(bundle_dir / "3col-k3.lp"))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["solve", "ground", "check"])
+    @pytest.mark.parametrize("flag,value", [("--limit-atoms", "0"), ("--limit-rules", "-1")])
+    def test_non_positive_limit_is_a_usage_error(self, bundle_dir, command, flag, value):
+        source = str(bundle_dir / "3col-k3.lp")
+        extra = ["-I", source] if command == "check" else []
+        code, out, err = run_cli(command, flag, value, *extra, source)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: must be a positive integer" in err
+        assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# `aspkit solve` output, pinned
+# ---------------------------------------------------------------------------
+
+# Every bundled file but the 9x9 sudoku, whose grounding alone takes seconds.
+SOLVE_FILES = {
+    name: text
+    for files in encodings.BUNDLES.values()
+    for name, text in files
+    if name != "sudoku.lp"
+}
+
+SOLVE_FLAGS = {"plain": (), "n1": ("-n", "1"), "optimize": ("--optimize",), "filter": None}
+
+OVER_LIMIT = "error: candidate atoms: 72 exceeds limit 22\n"
+
+# (exit code, first 16 hex digits of the SHA-256 of stdout, stderr) of
+# `aspkit solve [FLAGS] FILE`, recorded before the model search was shared with
+# the minimality checks; the filter keeps the file's first head predicate.
+SOLVE_DIGESTS = {
+    ("3col-k3-isolated.lp", "filter"): (0, "9e1479c10e1560cb", ""),
+    ("3col-k3-isolated.lp", "n1"): (0, "f02ca8451e27cdac", ""),
+    ("3col-k3-isolated.lp", "optimize"): (0, "c9fca690b557cfdb", ""),
+    ("3col-k3-isolated.lp", "plain"): (0, "8a3fb84bba1803c5", ""),
+    ("3col-k3.lp", "filter"): (0, "8077960563498733", ""),
+    ("3col-k3.lp", "n1"): (0, "1f587cc29cfb515b", ""),
+    ("3col-k3.lp", "optimize"): (0, "56fee51becfc2ed0", ""),
+    ("3col-k3.lp", "plain"): (0, "b5e75991e33632c4", ""),
+    ("3col-k4.lp", "filter"): (10, "e3b0c44298fc1c14", ""),
+    ("3col-k4.lp", "n1"): (10, "e3b0c44298fc1c14", ""),
+    ("3col-k4.lp", "optimize"): (10, "e3b0c44298fc1c14", ""),
+    ("3col-k4.lp", "plain"): (10, "e3b0c44298fc1c14", ""),
+    ("dlvfit-fragment.lp", "filter"): (0, "d3c23c14d5abc8d2", ""),
+    ("dlvfit-fragment.lp", "n1"): (0, "a7f33e532108fd71", ""),
+    ("dlvfit-fragment.lp", "optimize"): (0, "e69f2c5a7cba5731", ""),
+    ("dlvfit-fragment.lp", "plain"): (0, "a7f33e532108fd71", ""),
+    ("ramsey-n3.lp", "filter"): (0, "b931e9653d0d2ce5", ""),
+    ("ramsey-n3.lp", "n1"): (0, "fd1827c83cece8de", ""),
+    ("ramsey-n3.lp", "optimize"): (0, "52947cff4684d916", ""),
+    ("ramsey-n3.lp", "plain"): (0, "b34febced404e172", ""),
+    ("ramsey-n9.lp", "filter"): (1, "e3b0c44298fc1c14", OVER_LIMIT),
+    ("ramsey-n9.lp", "n1"): (1, "e3b0c44298fc1c14", OVER_LIMIT),
+    ("ramsey-n9.lp", "optimize"): (1, "e3b0c44298fc1c14", OVER_LIMIT),
+    ("ramsey-n9.lp", "plain"): (1, "e3b0c44298fc1c14", OVER_LIMIT),
+    ("sudoku-toy-given.lp", "filter"): (0, "2fb7ba82c5e9cdc1", ""),
+    ("sudoku-toy-given.lp", "n1"): (0, "8b6f77d178d6da31", ""),
+    ("sudoku-toy-given.lp", "optimize"): (0, "0386d352dd3231a7", ""),
+    ("sudoku-toy-given.lp", "plain"): (0, "8b6f77d178d6da31", ""),
+    ("sudoku-toy.lp", "filter"): (0, "d972b545b848a509", ""),
+    ("sudoku-toy.lp", "n1"): (0, "8b6f77d178d6da31", ""),
+    ("sudoku-toy.lp", "optimize"): (0, "e46534dd91652a36", ""),
+    ("sudoku-toy.lp", "plain"): (0, "46c55633ee303ec8", ""),
+}
+
+
+def first_head_predicate(text: str) -> str:
+    return next(a.predicate for r in parse_program(text).rules for a in r.head)
+
+
+class TestSolveOutputPinned:
+    @pytest.mark.parametrize("name,flags", sorted(SOLVE_DIGESTS))
+    def test_solve_output_unchanged(self, name, flags, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(SOLVE_FILES[name])
+        extra = SOLVE_FLAGS[flags]
+        if extra is None:
+            extra = ("--filter", first_head_predicate(SOLVE_FILES[name]))
+        code = cli.main(["solve", *extra, str(path)])
+        captured = capsys.readouterr()
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()[:16]
+        assert (code, digest, captured.err) == SOLVE_DIGESTS[name, flags]
+
+    def test_every_file_and_flag_set_is_pinned(self):
+        assert set(SOLVE_DIGESTS) == {(n, f) for n in SOLVE_FILES for f in SOLVE_FLAGS}

@@ -69,6 +69,11 @@ class TestRegistration:
                 PredicateSchema("Cell", (SchemaField("row", 1, "integer"),))
             )
 
+    @pytest.mark.parametrize("name", ["not", "cell\n"])
+    def test_predicate_must_read_as_one_identifier(self, name):
+        with pytest.raises(InvalidSchema):
+            schema(name, row=(1, "integer"))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidSchema):
             SchemaRegistry().register(
@@ -103,6 +108,12 @@ class TestRecordToFact:
         colored = schema("color", node=(1, "integer"), color=(2, "symbol"))
         with pytest.raises(FieldKindMismatch):
             record_to_fact(colored, record(colored, node=1, color="Not An Ident"))
+
+    @pytest.mark.parametrize("value", ["not", "abc\n"])
+    def test_symbol_must_read_as_one_identifier(self, value):
+        colored = schema("color", node=(1, "integer"), color=(2, "symbol"))
+        with pytest.raises(FieldKindMismatch):
+            record_to_fact(colored, record(colored, node=1, color=value))
 
     def test_missing_field(self):
         with pytest.raises(FieldKindMismatch):

@@ -123,6 +123,13 @@ class TestAssembly:
         with pytest.raises(MappingError):
             handler.assemble_input()
 
+    def test_keyword_symbol_raises_mapping_error_before_solving(self):
+        colored = schema("color", node=(1, "integer"), color=(2, "symbol"))
+        handler = Handler(reference_solver())
+        handler.add_program(InputProgram().add_records([record(colored, node=1, color="not")]))
+        with pytest.raises(MappingError):
+            handler.start_sync()
+
 
 class TestStartSync:
     def test_single_fact(self):

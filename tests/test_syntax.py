@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aspkit.errors import ParseError, SafetyError
 from aspkit.syntax import (
+    SYMBOL_RE,
     Atom,
     Builtin,
     Constant,
@@ -157,6 +158,23 @@ class TestParsing:
             ("INTEGER", "1", 2, 8), ("COLON", ":", 2, 9), ("INTEGER", "0", 2, 10),
             ("RBRACKET", "]", 2, 11), ("EOF", "", 2, 13),
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet=st.characters(codec="ascii"), max_size=8),
+            st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}\n?", fullmatch=True),
+        )
+    )
+    @example("not")
+    @example("nothing")
+    @example("abc\n")
+    def test_symbol_re_matches_exactly_one_identifier_token(self, word):
+        try:
+            tokens = [(t.kind, t.value) for t in _tokenize(word)]
+        except ParseError:
+            tokens = None
+        assert bool(SYMBOL_RE.match(word)) == (tokens == [("IDENT", word), ("EOF", "")])
 
     def test_not_requires_atom(self):
         with pytest.raises(ParseError):

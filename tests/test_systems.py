@@ -72,6 +72,11 @@ class TestOptionBuilders:
         with pytest.raises(EmptyFilter):
             filter_option(["Bad Name"])
 
+    @pytest.mark.parametrize("name", ["not", "color\n"])
+    def test_filter_name_must_read_as_one_identifier(self, name):
+        with pytest.raises(EmptyFilter):
+            filter_option([name])
+
     def test_models_clingo_all(self):
         assert clingo_solver().models_option(0).as_args() == ["0"]
 
