@@ -123,17 +123,13 @@ class Output:
 # Handler
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class _Snapshot:
-    parts: tuple[Part, ...]
-    options: tuple[OptionDescriptor, ...]
-
-
 class Handler:
     """Mediates between the caller and a solver.
 
-    Mutation (adding/removing programs and options) is single-owner; started
-    jobs work on a snapshot and are unaffected by later changes.
+    Programs and options live in one table keyed by id. Ids only grow, so
+    insertion order is id order, and assembly follows it. Mutation is
+    single-owner; started jobs work on a snapshot and are unaffected by later
+    changes.
     """
 
     def __init__(
@@ -145,58 +141,40 @@ class Handler:
         self.solver = solver
         self.registry = registry
         self.limits = limits
-        self._programs: dict[int, InputProgram] = {}
-        self._options: dict[int, OptionDescriptor] = {}
+        self._items: dict[int, InputProgram | OptionDescriptor] = {}
         self._next_id = 0
 
-    def _new_id(self) -> int:
+    def _add(self, item: InputProgram | OptionDescriptor) -> int:
         self._next_id += 1
+        self._items[self._next_id] = item
         return self._next_id
 
     def add_program(self, program: InputProgram | str) -> int:
-        if isinstance(program, str):
-            program = InputProgram(program)
-        ident = self._new_id()
-        self._programs[ident] = program
-        return ident
+        return self._add(InputProgram(program) if isinstance(program, str) else program)
 
     def add_option(self, option: OptionDescriptor | str) -> int:
-        if isinstance(option, str):
-            option = OptionDescriptor(option)
-        ident = self._new_id()
-        self._options[ident] = option
-        return ident
+        return self._add(OptionDescriptor(option) if isinstance(option, str) else option)
 
     def remove(self, ident: int) -> bool:
-        if ident in self._programs:
-            del self._programs[ident]
-            return True
-        if ident in self._options:
-            del self._options[ident]
-            return True
-        return False
+        return self._items.pop(ident, None) is not None
 
     # --- assembly ---
 
-    def _snapshot(self) -> _Snapshot:
-        parts: list[Part] = []
-        for key in sorted(self._programs):
-            parts.extend(self._programs[key].parts)
-        return _Snapshot(
-            parts=tuple(parts),
-            options=tuple(self._options[key] for key in sorted(self._options)),
-        )
+    def _snapshot(self) -> tuple[str, tuple[OptionDescriptor, ...]]:
+        """The assembled program text and the options, in id order."""
+        items = self._items.values()
+        parts = [part for item in items if isinstance(item, InputProgram) for part in item.parts]
+        options = tuple(item for item in items if isinstance(item, OptionDescriptor))
+        return _assemble(parts), options
 
     def assemble_input(self) -> str:
-        return _assemble(self._snapshot().parts)
+        return self._snapshot()[0]
 
     # --- execution ---
 
     def start_sync(self, timeout: float | None = None) -> Output:
         """Run the solver and block until it finishes (or times out)."""
-        snapshot = self._snapshot()
-        text = _assemble(snapshot.parts)
-        return self._execute(text, snapshot.options, timeout)
+        return self._execute(*self._snapshot(), timeout)
 
     def start_async(self, callback: Callable[[Output], None], timeout: float | None = None) -> str:
         """Run the solver on a worker thread; the callback fires exactly once.
@@ -205,12 +183,11 @@ class Handler:
         so assembly problems raise here and later mutation cannot affect the
         job. Solver failures are delivered through the callback's Output.
         """
-        snapshot = self._snapshot()
-        text = _assemble(snapshot.parts)
+        text, options = self._snapshot()
         job_id = uuid.uuid4().hex
 
         def run() -> None:
-            output = self._execute(text, snapshot.options, timeout)
+            output = self._execute(text, options, timeout)
             try:
                 callback(output)
             except Exception:

@@ -17,13 +17,14 @@ plus any of the ``2^n`` subsets of ``n`` candidate atoms, with
 ``max_candidate_atoms`` capping ``n``. One class, ``_MaskSpace``, builds it
 from a ground program and the atoms it may contain: the derivable atoms for
 ``answer_sets``, the occurring ones for ``minimal_models`` and the checked
-interpretation for ``is_answer_set``. One backtracking search, ``_models``,
-drops a partial assignment as soon as it violates a rule; it enumerates the
-space and also serves both minimality checks, which search the submasks of a
-model with that model forbidden. For answer sets a least-model check of the
-reduct comes first, and the search runs only when head cycles leave it
-undecided. This module trades speed for being small enough to audit, and
-doubles as the test oracle for the rest of the package.
+interpretation for ``is_answer_set``. Only rules are folded into bit masks;
+each answer set is charged by ``cost`` on its atoms. One backtracking search,
+``_models``, drops a partial assignment as soon as it violates a rule; it
+enumerates the space and also serves both minimality checks, which search the
+submasks of a model with that model forbidden. For answer sets a least-model
+check of the reduct comes first, and the search runs only when head cycles
+leave it undecided. This module trades speed for being small enough to audit,
+and doubles as the test oracle for the rest of the package.
 
 Grounding has two modes. The naive one tries every substitution over the
 universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
@@ -666,17 +667,20 @@ class _MaskSpace:
     a candidate: bit ``i`` is the ``i``-th in rendering order, and more than
     ``max_candidate_atoms`` of them raise :class:`LimitExceeded`. ``possible``
     is the facts plus the candidates; ``rules`` are the rules of ``gp``
-    folded into the space (``fold_rules``).
+    folded into the space (``fold_rules``), in ground order. Weak constraints
+    are not folded: ``cost`` charges them on the atoms of each answer set.
     """
 
-    def __init__(self, gp: GroundProgram, atoms, limits: EvaluationLimits):
+    def __init__(
+        self, gp: GroundProgram, atoms, limits: EvaluationLimits, deadline: float | None = None
+    ):
         self.forced = frozenset(next(iter(r.head)) for r in gp.rules if r.is_fact)
         self.candidates = sorted(set(atoms) - self.forced, key=str)
         if len(self.candidates) > limits.max_candidate_atoms:
             raise LimitExceeded("candidate atoms", len(self.candidates), limits.max_candidate_atoms)
         self.possible = self.forced.union(self.candidates)
         self.bit = {atom: 1 << i for i, atom in enumerate(self.candidates)}
-        self.rules = self.fold_rules(gp.rules)
+        self.rules = self.fold_rules(gp.rules, deadline)
 
     def mask_of(self, atoms) -> int:
         m = 0
@@ -687,16 +691,19 @@ class _MaskSpace:
     def atoms_of(self, mask: int) -> frozenset[Atom]:
         return frozenset(a for a in self.candidates if mask & self.bit[a]) | self.forced
 
-    def fold_rules(self, rules) -> list[tuple[int, int, int]]:
+    def fold_rules(self, rules, deadline: float | None) -> list[tuple[int, int, int]]:
         """(head, pos, neg) masks for rules that can distinguish candidates.
 
         Rules whose positive body mentions an impossible atom can never fire;
         rules with a forced head atom or a forced negative literal are
-        satisfied by every candidate. Duplicates are collapsed.
+        satisfied by every candidate. Duplicates are collapsed. The deadline
+        is read after every 2048 rules, the cadence of ``_models``.
         """
         folded: list[tuple[int, int, int]] = []
         seen: set[tuple[int, int, int]] = set()
-        for r in rules:
+        for i, r in enumerate(rules, 1):
+            if deadline is not None and i % 2048 == 0 and time.monotonic() > deadline:
+                raise SolverTimeout("folding deadline exceeded")
             if not r.pos <= self.possible:
                 continue
             if r.neg & self.forced:
@@ -712,31 +719,7 @@ class _MaskSpace:
                 continue
             seen.add(triple)
             folded.append(triple)
-        # cheap-to-violate rules first: early exit for non-models
-        folded.sort(key=lambda t: (t[0].bit_count() + t[1].bit_count(), t))
         return folded
-
-    def fold_weaks(self, weaks) -> list[tuple[int, int, int, int]]:
-        """(pos, neg, weight, level) for weak constraints that can ever fire.
-
-        Folding may make distinct instances coincide; they stay distinct here
-        (a list, not a set) because each ground instance charges separately.
-        """
-        out = []
-        for wc in weaks:
-            if not wc.pos <= self.possible:
-                continue
-            if wc.neg & self.forced:
-                continue
-            out.append(
-                (
-                    self.mask_of(a for a in wc.pos if a not in self.forced),
-                    self.mask_of(a for a in wc.neg if a in self.bit),
-                    wc.weight,
-                    wc.level,
-                )
-            )
-        return out
 
 
 def _models(bits: int, folded, deadline: float | None, base: int = 0):
@@ -812,15 +795,11 @@ def _has_smaller_model(m: int, folded, deadline: float | None = None) -> bool:
     if must == m:
         return False
     free = m & ~must
-    return next(_models(free, reduct + [(0, free, 0)], deadline, must), None) is not None
-
-
-def _cost_of_mask(m: int, folded_weaks) -> dict[int, int]:
-    totals: dict[int, int] = {}
-    for pos, neg, weight, level in folded_weaks:
-        if (m & pos) == pos and not (m & neg):
-            totals[level] = totals.get(level, 0) + weight
-    return {lvl: w for lvl, w in totals.items() if w != 0}
+    # A reduct rule with no atom in ``free`` holds in every submask that
+    # contains ``must``: its body holds in ``m``, so its head meets the model
+    # ``m``, and that atom lies in ``must``. Only the other rules are searched.
+    rules = [r for r in reduct if (r[0] | r[1] | r[2]) & free]
+    return next(_models(free, rules + [(0, free, 0)], deadline, must), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +823,7 @@ def minimal_models(
         occurring |= r.head | r.pos | r.neg
     # Everything occurring is a "possible" atom here: plain models need no
     # derivability, so only the forced folding applies.
-    space = _MaskSpace(gp, occurring, limits)
+    space = _MaskSpace(gp, occurring, limits, deadline)
     minimal = [
         space.atoms_of(m)
         for m in _models((1 << len(space.candidates)) - 1, space.rules, deadline)
@@ -900,13 +879,12 @@ def _answer_sets_of_ground(
     limits: EvaluationLimits,
     deadline: float | None = None,
 ) -> list[AnswerSet]:
-    space = _MaskSpace(gp, _possible_atoms(gp), limits)
-    folded_weaks = space.fold_weaks(gp.weak_constraints)
-    found = [
-        AnswerSet(atoms=space.atoms_of(m), cost=_cost_of_mask(m, folded_weaks))
-        for m in _models((1 << len(space.candidates)) - 1, space.rules, deadline)
-        if not _has_smaller_model(m, space.rules, deadline)
-    ]
+    space = _MaskSpace(gp, _possible_atoms(gp), limits, deadline)
+    found = []
+    for m in _models((1 << len(space.candidates)) - 1, space.rules, deadline):
+        if not _has_smaller_model(m, space.rules, deadline):
+            atoms = space.atoms_of(m)
+            found.append(AnswerSet(atoms=atoms, cost=cost(atoms, gp.weak_constraints)))
 
     found.sort(key=lambda s: render_interpretation(s.atoms))
     return found

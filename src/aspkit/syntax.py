@@ -268,14 +268,14 @@ class _Parser:
         self.taken_names = {t.value for t in tokens if t.kind == "VARIABLE"}
         self.fresh_counter = 0
 
+    # The token list ends in EOF and no grammar rule consumes it, so ``pos``
+    # never passes it; ``peek(1)`` only follows an IDENT, which is not EOF.
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()

@@ -149,6 +149,10 @@ class _ExternalSystem(SolverSpec):
                 )
             except subprocess.TimeoutExpired as exc:
                 raise SolverTimeout(f"{self.name} exceeded {timeout}s") from exc
+            except OSError as exc:
+                raise SolverNotFound(
+                    f"{self.name} executable {executable!r} cannot be run: {exc}"
+                ) from exc
             if proc.returncode not in self.ok_exit_codes:
                 raise NonzeroExit(proc.returncode, proc.stderr)
             return proc.stdout
@@ -231,6 +235,15 @@ def filter_option(predicates: list[str]) -> OptionDescriptor:
 # Output parsing
 # ---------------------------------------------------------------------------
 
+def _output_lines(text: str) -> list[str]:
+    """Lines of solver output, split at `\\n` only.
+
+    A quoted string may hold any other line separator `str.splitlines` knows
+    (`\\r`, `\\x0c`, `\\u2028`, ...), so those stay inside their line.
+    """
+    return text.removesuffix("\n").split("\n")
+
+
 def parse_clingo_output(text: str) -> AnswerSets:
     """Parse clingo-style textual output.
 
@@ -240,7 +253,7 @@ def parse_clingo_output(text: str) -> AnswerSets:
     level first, lowest level last), the SATISFIABLE/UNSATISFIABLE/UNKNOWN
     verdict, and `OPTIMUM FOUND`. Unrecognized lines are ignored.
     """
-    lines = text.splitlines()
+    lines = _output_lines(text)
     sets: list[AnswerSet] = []
     satisfiable = "unknown"
     optimum_found = False
@@ -297,7 +310,7 @@ def parse_dlv_output(text: str) -> AnswerSets:
     sets: list[AnswerSet] = []
     satisfiable = "unknown"
     optimum_found = False
-    for line in text.splitlines():
+    for line in _output_lines(text):
         stripped = line.strip()
         body = stripped
         if body.startswith("Best model:"):

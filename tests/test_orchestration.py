@@ -180,6 +180,33 @@ class TestStartSync:
         assert "boom" in output.error.stderr
 
 
+class TestUnrunnableExecutable:
+    """An executable file the system cannot run is reported like a missing one."""
+
+    @pytest.fixture
+    def handler(self, tmp_path):
+        path = tmp_path / "garbage"
+        path.write_bytes(b"\x01\x02")
+        path.chmod(path.stat().st_mode | stat.S_IEXEC)
+        handler = Handler(clingo_solver(str(path)))
+        handler.add_program("a.")
+        return handler
+
+    def test_sync(self, handler):
+        output = handler.start_sync()
+        assert output.error.kind == "solver_not_found"
+        assert "garbage" in output.error.message
+
+    def test_async_delivers_exactly_once(self, handler):
+        results: "queue.Queue[Output]" = queue.Queue()
+        job_id = handler.start_async(results.put)
+        assert results.get(timeout=10).error.kind == "solver_not_found"
+        for thread in threading.enumerate():
+            if thread.name == f"aspkit-job-{job_id[:8]}":
+                thread.join(timeout=10)
+        assert results.empty()
+
+
 class TestStartAsync:
     def test_async_equals_sync(self):
         handler = Handler(reference_solver())

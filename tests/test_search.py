@@ -22,6 +22,8 @@ from aspkit.errors import LimitExceeded, SolverTimeout
 from aspkit.refeval import (
     AnswerSet,
     EvaluationLimits,
+    GroundProgram,
+    GroundRule,
     _answer_sets_of_ground,
     _has_smaller_model,
     _models,
@@ -31,7 +33,7 @@ from aspkit.refeval import (
     is_answer_set,
     minimal_models,
 )
-from aspkit.syntax import parse_program
+from aspkit.syntax import Atom, Integer, parse_program
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle
@@ -220,6 +222,21 @@ class TestDeadlines:
             _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS, deadline=1.0)
         assert caught.traceback[-1].name == "_models"
         assert "_has_smaller_model" in [entry.name for entry in caught.traceback]
+
+    def test_past_deadline_stops_the_folding(self):
+        # 3,000 constraints fold to one rule over the two candidates a and b
+        a, b = Atom("a", ()), Atom("b", ())
+        rules = [GroundRule(head=frozenset({a, b}), pos=frozenset(), neg=frozenset())]
+        for i in range(3000):
+            q = Atom("q", (Integer(i),))
+            rules.append(GroundRule(head=frozenset(), pos=frozenset({a}), neg=frozenset({q})))
+        gp = GroundProgram(rules=tuple(rules))
+        with pytest.raises(SolverTimeout) as caught:
+            _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS, deadline=0.0)
+        assert caught.traceback[-1].name == "fold_rules"
+        assert [s.atoms for s in _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS)] == [
+            frozenset({b})
+        ]
 
     def test_default_candidate_limit_is_unchanged(self):
         program = parse_program(_pairs(11) + "c :- a0.")  # 23 candidates

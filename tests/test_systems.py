@@ -12,7 +12,8 @@ from aspkit.errors import (
     SolverNotFound,
     SolverTimeout,
 )
-from aspkit.orchestration import Handler
+from aspkit.mapper import SchemaRegistry, answer_set_to_records, record, schema
+from aspkit.orchestration import Handler, InputProgram
 from aspkit.refeval import AnswerSet, answer_sets, render_interpretation
 from aspkit.syntax import Atom, Constant, Integer, parse_program
 from aspkit.systems import (
@@ -239,6 +240,35 @@ class TestDlvOutputParsing:
     def test_unbalanced_model_line(self, line):
         with pytest.raises(MalformedOutput):
             parse_dlv_output(line)
+
+
+# Every line separator of str.splitlines except "\n", which a quoted string cannot hold.
+SEPARATORS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineSeparatorsInStrings:
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_record_round_trips_through_handler(self, sep):
+        note = schema("note", text=(1, "quoted_string"))
+        registry = SchemaRegistry([note])
+        handler = Handler(reference_solver(), registry=registry)
+        values = [f"a{sep}b", f"{sep}lead", f"trail{sep}"]
+        handler.add_program(InputProgram().add_records(record(note, text=v) for v in values))
+        output = handler.start_sync()
+        assert output.ok, output.error
+        [only] = output.answer_sets.sets
+        records, skipped = answer_set_to_records(registry, only.atoms)
+        assert sorted(r.values["text"] for r in records) == sorted(values)
+        assert skipped == 0
+
+    def test_clingo_output_ending_at_a_header_stays_malformed(self):
+        with pytest.raises(MalformedOutput) as err:
+            parse_clingo_output("Solving...\nAnswer: 1\n")
+        assert err.value.line == "Answer: 1"
+
+    def test_dlv_model_line_holding_a_form_feed(self):
+        parsed = parse_dlv_output('{p("a\x0cb"), q}\n')
+        assert [s.atoms for s in parsed.sets] == [atoms_of('p("a\x0cb")', "q")]
 
 
 class TestReferenceSolver:
