@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import encodings, refeval, systems
 from .errors import AspkitError
 from .orchestration import Handler
 from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits, Verdict
-from .syntax import Program, parse_program
+from .syntax import parse_program, read_program_file
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -104,9 +103,8 @@ def _limits(args) -> EvaluationLimits:
     )
 
 
-def _read_program(paths) -> Program:
-    text = "\n".join(Path(p).read_text() for p in paths)
-    return parse_program(text)
+def _program_text(paths) -> str:
+    return "\n".join(map(read_program_file, paths))
 
 
 def _print_sets(sets: list[AnswerSet], args) -> None:
@@ -134,7 +132,7 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
 
     handler = Handler(spec, limits=_limits(args))
-    handler.add_program("\n".join(Path(p).read_text() for p in args.paths))
+    handler.add_program(_program_text(args.paths))
     # Optimal sets can come after the first k models, so --optimize asks for all.
     handler.add_option(spec.models_option(0 if args.optimize else args.models))
     if args.filter is not None:
@@ -154,8 +152,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    program = _read_program(args.paths)
-    given = parse_program(Path(args.interpretation).read_text())
+    program = parse_program(_program_text(args.paths))
+    given = parse_program(read_program_file(args.interpretation))
     if given.weak_constraints or any(not r.is_fact for r in given.rules):
         sys.stderr.write("error: the interpretation file must contain only ground facts\n")
         return EXIT_ERROR
@@ -166,7 +164,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    program = _read_program(args.paths)
+    program = parse_program(_program_text(args.paths))
     gp = refeval.ground_program(program, _limits(args))
     lines = {r.render() for r in gp.rules} | {w.render() for w in gp.weak_constraints}
     for line in sorted(lines):
@@ -190,10 +188,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except AspkitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
+    except (AspkitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

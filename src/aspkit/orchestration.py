@@ -29,6 +29,7 @@ from .errors import (
 )
 from .mapper import MappedRecord, SchemaRegistry, record_to_fact
 from .refeval import DEFAULT_LIMITS, EvaluationLimits
+from .syntax import read_program_file
 
 log = logging.getLogger(__name__)
 
@@ -37,42 +38,28 @@ log = logging.getLogger(__name__)
 # Input programs and options
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class RawText:
-    text: str
-
-
-@dataclass(frozen=True, slots=True)
-class MappedFacts:
-    records: tuple[MappedRecord, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class FilePath:
-    path: str
-
-
-Part = RawText | MappedFacts | FilePath
-
-
 class InputProgram:
-    """Ordered program parts; assembly order equals insertion order."""
+    """Ordered program parts; assembly order equals insertion order.
+
+    A part is program text (a ``str``), mapped records (a ``tuple``, one fact
+    per record) or a program file (a ``Path``, read at assembly).
+    """
 
     def __init__(self, text: str | None = None):
-        self.parts: list[Part] = []
+        self.parts: list[str | tuple[MappedRecord, ...] | Path] = []
         if text is not None:
             self.add_text(text)
 
     def add_text(self, text: str) -> "InputProgram":
-        self.parts.append(RawText(text))
+        self.parts.append(text)
         return self
 
     def add_records(self, records) -> "InputProgram":
-        self.parts.append(MappedFacts(tuple(records)))
+        self.parts.append(tuple(records))
         return self
 
     def add_file(self, path: str | Path) -> "InputProgram":
-        self.parts.append(FilePath(str(path)))
+        self.parts.append(Path(path))
         return self
 
 
@@ -161,11 +148,11 @@ class Handler:
     # --- assembly ---
 
     def _snapshot(self) -> tuple[str, tuple[OptionDescriptor, ...]]:
-        """The assembled program text and the options, in id order."""
+        """The assembled program text and the options, the solver's defaults first."""
         items = self._items.values()
         parts = [part for item in items if isinstance(item, InputProgram) for part in item.parts]
-        options = tuple(item for item in items if isinstance(item, OptionDescriptor))
-        return _assemble(parts), options
+        own = [item for item in items if isinstance(item, OptionDescriptor)]
+        return _assemble(parts), (*self.solver.default_options, *own)
 
     def assemble_input(self) -> str:
         return self._snapshot()[0]
@@ -199,48 +186,41 @@ class Handler:
     def _execute(self, text: str, options, timeout: float | None) -> Output:
         from . import systems  # deferred: systems imports OptionDescriptor from here
 
-        all_options = list(self.solver.default_options) + list(options)
+        raw = ""
         try:
-            raw = systems.invoke_solver(
-                self.solver, text, all_options, timeout=timeout, limits=self.limits
-            )
-        except SolverNotFound as exc:
-            return Output(raw="", error=SolverFailure("solver_not_found", str(exc)))
-        except SolverTimeout as exc:
-            return Output(raw="", error=SolverFailure("timeout", str(exc)))
-        except NonzeroExit as exc:
-            return Output(
-                raw="",
-                error=SolverFailure(
-                    "nonzero_exit", str(exc), exit_code=exc.code, stderr=exc.stderr
-                ),
-            )
-        except AspkitError as exc:  # reference errors: parse, safety, limits, options
-            return Output(raw="", error=SolverFailure("evaluation_error", str(exc)))
-        try:
-            parsed = self.solver.parse_output(raw)
-        except MalformedOutput as exc:
-            return Output(raw=raw, error=SolverFailure("malformed_output", str(exc)))
-        return Output(raw=raw, answer_sets=parsed)
+            raw = systems.invoke_solver(self.solver, text, options, timeout, self.limits)
+            return Output(raw=raw, answer_sets=self.solver.parse_output(raw))
+        except AspkitError as exc:
+            kind = _FAILURE_KINDS.get(type(exc), "evaluation_error")
+            if isinstance(exc, NonzeroExit):
+                return Output(raw=raw, error=SolverFailure(kind, str(exc), exc.code, exc.stderr))
+            return Output(raw=raw, error=SolverFailure(kind, str(exc)))
+
+
+# Any other AspkitError (reference parse, safety, limit and option errors, an
+# input file that cannot be written) is an evaluation_error.
+_FAILURE_KINDS = {
+    SolverNotFound: "solver_not_found",
+    SolverTimeout: "timeout",
+    NonzeroExit: "nonzero_exit",
+    MalformedOutput: "malformed_output",
+}
 
 
 def _assemble(parts) -> str:
     """Concatenate parts in order; mapped records become one fact per line."""
     chunks: list[str] = []
     for part in parts:
-        if isinstance(part, RawText):
-            chunks.append(part.text)
-        elif isinstance(part, MappedFacts):
+        if isinstance(part, str):
+            chunks.append(part)
+        elif isinstance(part, tuple):
             try:
-                rendered = "".join(
-                    f"{record_to_fact(r.schema, r)}.\n" for r in part.records
-                )
+                chunks.extend(f"{record_to_fact(r.schema, r)}.\n" for r in part)
             except AspkitError as exc:
                 raise MappingError(str(exc)) from exc
-            chunks.append(rendered)
         else:
             try:
-                chunks.append(Path(part.path).read_text())
+                chunks.append(read_program_file(part))
             except OSError as exc:
-                raise FileReadError(f"cannot read {part.path}: {exc}") from exc
+                raise FileReadError(f"cannot read {part}: {exc}") from exc
     return "".join(chunks)

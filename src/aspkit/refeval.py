@@ -316,9 +316,9 @@ class _Instances:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolverTimeout("grounding deadline exceeded")
 
-    def _tick(self) -> None:
+    def tick(self) -> None:
         self._ticks += 1
-        if self._ticks % 8192 == 0:
+        if self._ticks % 1024 == 0:
             self.check_deadline()
 
     def _retain(self) -> None:
@@ -329,7 +329,7 @@ class _Instances:
             )
 
     def add_fact(self, atom: Atom) -> None:
-        self._tick()
+        self.tick()
         self._retain()
         self.rules.append(GroundRule(head=frozenset((atom,)), pos=_NO_ATOMS, neg=_NO_ATOMS))
 
@@ -338,7 +338,7 @@ class _Instances:
         neg_atoms = rule.negative_body_atoms()
         cache = self._cache
         for sub in subs:
-            self._tick()
+            self.tick()
             if any(not eval_builtin(b, sub) for b in builtins):
                 continue
             self._retain()
@@ -355,7 +355,7 @@ class _Instances:
         neg_atoms = weak.negative_body_atoms()
         cache = self._cache
         for sub in subs:
-            self._tick()
+            self.tick()
             weight = _ground_value(weak.weight, sub)
             level = _ground_value(weak.level, sub)
             if not isinstance(weight, Integer) or not isinstance(level, Integer):
@@ -523,6 +523,7 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
             else:
                 matches = derivable.lookup(sig, tuple(p for p, _ in checks), key)
             for atom in matches:
+                out.tick()
                 if source == _OLD and atom in delta:
                     continue
                 added = []

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import MalformedOutput, ParseError, SafetyError
+from .errors import FileReadError, MalformedOutput, ParseError, SafetyError
 
 # A whole string that the tokenizer reads as one identifier: the keyword `not`
 # and trailing newlines are not symbols.
@@ -208,10 +208,11 @@ def _collect_vars(terms, seen: list[str]) -> None:
 
 # One alternative per token kind, tried in order at each position: `:-`,
 # `:~` and the two-character comparisons before their one-character prefixes.
-# Only ASCII letters and digits make words and integers; ERROR catches any
-# other character.
+# `\r\n`, `\r` and `\n` end a line outside quoted strings; a string may hold
+# a `\r`. Only ASCII letters and digits make words and integers; ERROR
+# catches any other character.
 _TOKEN_RE = re.compile(
-    r"""(?P<NEWLINE>\n)|(?P<SKIP>[ \t\r]+)|(?P<COMMENT>%[^\n]*)
+    r"""(?P<NEWLINE>\r\n?|\n)|(?P<SKIP>[ \t]+)|(?P<COMMENT>%[^\r\n]*)
     |(?P<STRING>"[^"\n]*")|(?P<INTEGER>-?[0-9]+)|(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<IMPLIES>:-)|(?P<WEAK>:~)|(?P<OP><>|<=|>=|!=|=|<|>)
     |(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACKET>\[)|(?P<RBRACKET>])|(?P<COLON>:)
@@ -404,6 +405,15 @@ class _Parser:
         raise self.error(f"expected a term, found {tok.value!r}")
 
 
+def read_program_file(path) -> str:
+    """The text of a program file as written; only the tokenizer splits lines."""
+    with open(path, newline="") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise FileReadError(f"cannot read {path}: {exc}") from exc
+
+
 def parse_program(text: str, check_safety: bool = True) -> Program:
     """Parse program text into a :class:`Program`.
 
@@ -437,7 +447,7 @@ def parse_witness(text: str, line: str, commas: bool) -> frozenset[Atom]:
         while parser.peek().kind != "EOF":
             if atoms and commas:
                 parser.expect("COMMA")
-            elif atoms and parser.peek().column == end:
+            elif atoms and parser.peek().column == end and parser.peek().line == last.line:
                 raise parser.error("expected whitespace between atoms")
             start = parser.peek()
             atom = parser.parse_atom()

@@ -12,6 +12,7 @@ objects, via `Handler`. Witness atoms of both output formats are read by
 
 from __future__ import annotations
 
+import locale
 import os
 import re
 import shutil
@@ -24,6 +25,7 @@ from typing import ClassVar
 
 from . import refeval
 from .errors import (
+    AspkitError,
     EmptyFilter,
     MalformedOutput,
     NonzeroExit,
@@ -134,34 +136,43 @@ class _ExternalSystem(SolverSpec):
         # The temporary file is kept after the run when $ASP_EMBED_KEEP_TEMP is set.
         executable = self.resolve_executable()
         args = [arg for opt in options for arg in opt.as_args()]
-        fd, path = tempfile.mkstemp(suffix=".lp", prefix="aspkit-")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(input_text)
-                if not input_text.endswith("\n"):
-                    handle.write("\n")
+            fd, path = tempfile.mkstemp(suffix=".lp", prefix="aspkit-")
+        except OSError as exc:  # the message names the file it tried
+            raise AspkitError(f"cannot create the input file: {exc}") from exc
+        try:
             try:
-                proc = subprocess.run(
-                    [executable, *args, path],
-                    capture_output=True,
-                    text=True,
-                    timeout=timeout,
-                )
-            except subprocess.TimeoutExpired as exc:
-                raise SolverTimeout(f"{self.name} exceeded {timeout}s") from exc
-            except OSError as exc:
-                raise SolverNotFound(
-                    f"{self.name} executable {executable!r} cannot be run: {exc}"
-                ) from exc
-            if proc.returncode not in self.ok_exit_codes:
-                raise NonzeroExit(proc.returncode, proc.stderr)
-            return proc.stdout
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(input_text if input_text.endswith("\n") else input_text + "\n")
+            except (OSError, UnicodeEncodeError) as exc:
+                raise AspkitError(f"cannot write the input file {path}: {exc}") from exc
+            return self._run([executable, *args, path], timeout)
         finally:
             if not os.environ.get(ENV_KEEP_TEMP):
                 try:
                     os.unlink(path)
                 except OSError:
                     pass
+
+    def _run(self, command, timeout) -> str:
+        """Stdout of a completed run, decoded strictly and with its line ends as written."""
+        try:
+            proc = subprocess.run(command, capture_output=True, timeout=timeout)
+        except subprocess.TimeoutExpired as exc:
+            raise SolverTimeout(f"{self.name} exceeded {timeout}s") from exc
+        except OSError as exc:
+            raise SolverNotFound(
+                f"{self.name} executable {command[0]!r} cannot be run: {exc}"
+            ) from exc
+        encoding = locale.getpreferredencoding(False)  # what text-mode pipes decode with
+        if proc.returncode not in self.ok_exit_codes:
+            raise NonzeroExit(proc.returncode, proc.stderr.decode(encoding, "backslashreplace"))
+        try:
+            return proc.stdout.decode(encoding)
+        except UnicodeDecodeError as exc:
+            line = proc.stdout.split(b"\n")[proc.stdout.count(b"\n", 0, exc.start)]
+            reason = f"not {encoding} text"
+            raise MalformedOutput(line.decode(encoding, "backslashreplace"), reason) from exc
 
 
 class ClingoSystem(_ExternalSystem):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import locale
 import shutil
 from pathlib import Path
 
@@ -40,6 +41,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+# Byte 0xff is not text in UTF-8; other locale encodings may read it.
+needs_utf8 = pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower().replace("_", "-") not in ("utf-8", "utf8"),
+    reason="needs a UTF-8 locale, where byte 0xff is not text",
+)
 
 
 def external_clingo() -> str | None:

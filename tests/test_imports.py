@@ -1,6 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module parses with the grammar of the oldest Python that
+``pyproject.toml`` declares (``requires-python >= 3.10``).
 
-``__init__.py`` is skipped: it imports names only to re-export them.
+``__init__.py`` is skipped by the import check: it imports names only to
+re-export them.
 """
 
 from __future__ import annotations
@@ -36,3 +39,13 @@ def test_every_imported_name_is_used(module):
 def test_an_unused_import_is_reported():
     source = "import os\nfrom a.b import c as d, e\nimport x.y\nx.y.z(e)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 2)"]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_parses_as_python_3_10(module):
+    ast.parse(module.read_text(), filename=module.name, feature_version=(3, 10))
+
+
+def test_newer_syntax_is_refused():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -238,6 +238,18 @@ class TestDeadlines:
             frozenset({b})
         ]
 
+    def test_past_deadline_stops_the_join(self, monkeypatch):
+        # the constraint's join makes 10,100 matches and yields no instance
+        facts = "".join(f"a({i}). b({i}). " for i in range(100))
+        program = parse_program(facts + ":- a(X), b(Y), X > Y + 100.")
+        # the checks before, inside and after the only round read 0.0; the join's read 2.0
+        monkeypatch.setattr(refeval, "time", _clock([0.0, 0.0, 0.0, 2.0]))
+        with pytest.raises(SolverTimeout) as caught:
+            ground_program(program, deadline=1.0, relevant=True)
+        assert [entry.name for entry in caught.traceback[-3:]] == ["run", "tick", "check_deadline"]
+        monkeypatch.undo()
+        assert len(ground_program(program, relevant=True).rules) == 200
+
     def test_default_candidate_limit_is_unchanged(self):
         program = parse_program(_pairs(11) + "c :- a0.")  # 23 candidates
         with pytest.raises(LimitExceeded) as caught:
