@@ -203,7 +203,7 @@ def load_schema_manifest(source: str | Path) -> SchemaRegistry:
     """Parse a schema manifest: one schema per line, `%` comments.
 
     Line format: ``predicate/arity field:pos:kind ...`` with one field spec
-    per term position.
+    per term position; arity and positions are written in ASCII digits.
     """
     text = source.read_text() if isinstance(source, Path) else source
     registry = SchemaRegistry()
@@ -213,12 +213,12 @@ def load_schema_manifest(source: str | Path) -> SchemaRegistry:
             continue
         head, *field_specs = line.split()
         name, _, arity_text = head.partition("/")
-        if not arity_text.isdigit():
+        if not (arity_text.isascii() and arity_text.isdigit()):
             raise InvalidSchema(f"bad schema header {head!r}")
         fields = []
         for spec in field_specs:
             parts = spec.split(":")
-            if len(parts) != 3 or not parts[1].isdigit():
+            if len(parts) != 3 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise InvalidSchema(f"bad field spec {spec!r}")
             fields.append(SchemaField(parts[0], int(parts[1]), parts[2]))
         if len(fields) != int(arity_text):

@@ -32,6 +32,10 @@ universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
 the instances whose positive body is derivable, found by a semi-naive join
 against the derivable atoms. The other instances can never fire, so the
 answer sets and costs are the same; the naive mode stays the oracle.
+
+Each public entry holds its limits and deadline in one ``_Run``, the only
+reader of the clock: when a phase starts (grounding, folding, each
+``_models`` search) and then every 1,024 ticks. A timeout names its phase.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from enum import Enum
 
 from .errors import LimitExceeded, SolverTimeout
 from .syntax import (
-    Atom, Builtin, Constant, Integer, Program, Sum, Term, Variable, classify_predicates,
+    Atom, Builtin, Constant, Integer, Literal, Program, Rule, Sum, Term, Variable,
+    WeakConstraint, classify_predicates, render,
 )
 
 
@@ -64,6 +69,35 @@ class EvaluationLimits:
 
 DEFAULT_LIMITS = EvaluationLimits()
 
+
+class _Run:
+    """One evaluation's limits and deadline, and the only reader of the clock.
+
+    Each phase (grounding, folding, every ``_models`` search) calls ``start``,
+    which reads the clock at once; then every 1,024th ``tick`` reads it again.
+    A tick is one substitution or join match, one folded rule or one search
+    node. Past the deadline a read raises ``SolverTimeout`` naming the phase.
+    """
+
+    def __init__(self, limits: EvaluationLimits = DEFAULT_LIMITS, deadline: float | None = None):
+        self.limits = limits
+        self.deadline = deadline
+        self._phase = ""
+        self._left = 1024
+
+    def start(self, phase: str) -> None:
+        self._phase = phase
+        self._left = 1
+        self.tick()
+
+    def tick(self) -> None:
+        self._left -= 1
+        if not self._left:
+            self._left = 1024
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SolverTimeout(f"{self._phase} deadline exceeded")
+
+
 # Upper bound on raw substitutions tried while grounding; grounding a rule is
 # |universe| ** #variables even when most instances are deleted again.
 _SUBSTITUTION_FACTOR = 25
@@ -80,13 +114,7 @@ class GroundRule:
         return len(self.head) == 1 and not self.pos and not self.neg
 
     def render(self) -> str:
-        head = " | ".join(sorted(str(a) for a in self.head))
-        body = _render_body(self.pos, self.neg)
-        if not body:
-            return f"{head}."
-        if not head:
-            return f":- {body}."
-        return f"{head} :- {body}."
+        return render(Rule(head=tuple(sorted(self.head, key=str)), body=_body(self.pos, self.neg)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,11 +125,14 @@ class GroundWeakConstraint:
     level: int
 
     def render(self) -> str:
-        return f":~ {_render_body(self.pos, self.neg)}. [{self.weight}:{self.level}]"
+        body = _body(self.pos, self.neg)
+        return render(WeakConstraint(body, Integer(self.weight), Integer(self.level)))
 
 
-def _render_body(pos: frozenset[Atom], neg: frozenset[Atom]) -> str:
-    return ", ".join(sorted(str(a) for a in pos) + sorted(f"not {a}" for a in neg))
+def _body(pos: frozenset[Atom], neg: frozenset[Atom]) -> tuple[Literal, ...]:
+    """Positive literals, then negative ones, each sorted by text."""
+    negative = [Literal(a, negated=True) for a in sorted(neg, key=str)]
+    return tuple([Literal(a) for a in sorted(pos, key=str)] + negative)
 
 
 @dataclass(frozen=True)
@@ -244,6 +275,7 @@ def ground_program(
     deadline: float | None = None,
     *,
     relevant: bool = False,
+    _run: _Run | None = None,  # an enclosing evaluation's run, in place of limits and deadline
 ) -> GroundProgram:
     """Instantiate every statement over the universe.
 
@@ -261,18 +293,18 @@ def ground_program(
     outside it can never fire, so answer sets and costs do not change.
     ``max_ground_rules`` counts the instances actually kept in either mode.
     """
+    run = _run or _Run(limits, deadline)
     universe = sorted(herbrand_universe(program), key=_term_sort_key)
-    nconst = len(universe)
 
-    substitution_budget = max(2_000_000, _SUBSTITUTION_FACTOR * limits.max_ground_rules)
+    substitution_budget = max(2_000_000, _SUBSTITUTION_FACTOR * run.limits.max_ground_rules)
     total_subs = 0
     for stmt in list(program.rules) + list(program.weak_constraints):
-        nvars = len(stmt.variables())
-        total_subs += nconst**nvars if nvars else 1
+        total_subs += len(universe) ** len(stmt.variables())
         if total_subs > substitution_budget:
             raise LimitExceeded("grounding substitutions", total_subs, substitution_budget)
 
-    out = _Instances(limits, deadline)
+    out = _Instances(run)
+    run.start("grounding")
     if relevant:
         _ground_relevant(program, universe, out)
     else:
@@ -302,60 +334,48 @@ class _Instances:
     same dict object again after changing it.
     """
 
-    def __init__(self, limits: EvaluationLimits, deadline: float | None):
-        self.limits = limits
-        self.deadline = deadline
+    def __init__(self, run: _Run):
+        self.run = run
         self.rules: list[GroundRule] = []
         self.weaks: list[GroundWeakConstraint] = []
         self._seen_weaks: set[GroundWeakConstraint] = set()
         self._cache: dict = {}
-        self._retained = 0
-        self._ticks = 0
 
-    def check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SolverTimeout("grounding deadline exceeded")
-
-    def tick(self) -> None:
-        self._ticks += 1
-        if self._ticks % 1024 == 0:
-            self.check_deadline()
-
-    def _retain(self) -> None:
-        self._retained += 1
-        if self._retained > self.limits.max_ground_rules:
-            raise LimitExceeded(
-                "ground rule instances", self._retained, self.limits.max_ground_rules
-            )
+    def _keep(self, instances: list, instance) -> None:
+        instances.append(instance)
+        kept = len(self.rules) + len(self.weaks)
+        if kept > self.run.limits.max_ground_rules:
+            raise LimitExceeded("ground rule instances", kept, self.run.limits.max_ground_rules)
 
     def add_fact(self, atom: Atom) -> None:
-        self.tick()
-        self._retain()
-        self.rules.append(GroundRule(head=frozenset((atom,)), pos=_NO_ATOMS, neg=_NO_ATOMS))
+        self.run.tick()
+        self._keep(self.rules, GroundRule(head=frozenset((atom,)), pos=_NO_ATOMS, neg=_NO_ATOMS))
 
     def add_rules(self, rule, subs, builtins) -> None:
         pos_atoms = rule.positive_body_atoms()
         neg_atoms = rule.negative_body_atoms()
         cache = self._cache
+        tick = self.run.tick
         for sub in subs:
-            self.tick()
+            tick()
             if any(not eval_builtin(b, sub) for b in builtins):
                 continue
-            self._retain()
-            self.rules.append(
+            self._keep(
+                self.rules,
                 GroundRule(
                     head=frozenset(_instantiate(a, sub, cache) for a in rule.head),
                     pos=frozenset(_instantiate(a, sub, cache) for a in pos_atoms),
                     neg=frozenset(_instantiate(a, sub, cache) for a in neg_atoms),
-                )
+                ),
             )
 
     def add_weaks(self, weak, subs, builtins) -> None:
         pos_atoms = weak.positive_body_atoms()
         neg_atoms = weak.negative_body_atoms()
         cache = self._cache
+        tick = self.run.tick
         for sub in subs:
-            self.tick()
+            tick()
             weight = _ground_value(weak.weight, sub)
             level = _ground_value(weak.level, sub)
             if not isinstance(weight, Integer) or not isinstance(level, Integer):
@@ -373,8 +393,7 @@ class _Instances:
             if instance in self._seen_weaks:
                 continue
             self._seen_weaks.add(instance)
-            self._retain()
-            self.weaks.append(instance)
+            self._keep(self.weaks, instance)
 
 
 # Where a positive body atom of a join finds its matches, in semi-naive
@@ -505,8 +524,9 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
     derivable = _AtomIndex()
     delta_by_sig: dict[tuple[str, int], list[Atom]] = {}
     delta: set[Atom] = set()
+    tick = out.run.tick
 
-    def run(steps, k, sub):
+    def join(steps, k, sub):
         if k == len(steps):
             yield sub
             return
@@ -523,7 +543,7 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
             else:
                 matches = derivable.lookup(sig, tuple(p for p, _ in checks), key)
             for atom in matches:
-                out.tick()
+                tick()
                 if source == _OLD and atom in delta:
                     continue
                 added = []
@@ -535,34 +555,33 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
                     elif value != atom.terms[pos]:
                         break
                 else:
-                    yield from run(steps, k + 1, sub)
+                    yield from join(steps, k + 1, sub)
                 for name in added:
                     del sub[name]
         elif kind == "test":
             if eval_builtin(step[1], sub):
-                yield from run(steps, k + 1, sub)
+                yield from join(steps, k + 1, sub)
         elif kind == "assign":
             _, name, operand = step
             term = by_value.get(_operand_value(operand, sub))
             if term is not None:
                 sub[name] = term
-                yield from run(steps, k + 1, sub)
+                yield from join(steps, k + 1, sub)
                 del sub[name]
         else:
             names = step[1]
             for combo in itertools.product(universe, repeat=len(names)):
                 sub.update(zip(names, combo))
-                yield from run(steps, k + 1, sub)
+                yield from join(steps, k + 1, sub)
             for name in names:
                 sub.pop(name, None)
 
     def against_all(stmt):
-        return run(_join_plan(stmt, [_ALL] * len(stmt.positive_body_atoms())), 0, {})
+        return join(_join_plan(stmt, [_ALL] * len(stmt.positive_body_atoms())), 0, {})
 
     def add_derived(start: int) -> list[Atom]:
         return derivable.add(a for r in out.rules[start:] for a in r.head)
 
-    out.check_deadline()
     recursive = []
     for rule in program.rules:
         n = len(rule.positive_body_atoms())
@@ -579,7 +598,6 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
     new = add_derived(0)
 
     while new:
-        out.check_deadline()
         delta = set(new)
         delta_by_sig = {}
         for atom in new:
@@ -588,10 +606,9 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
         for rule, plans in recursive:
             for atom, steps in zip(rule.positive_body_atoms(), plans):
                 if atom.signature in delta_by_sig:
-                    out.add_rules(rule, run(steps, 0, {}), ())
+                    out.add_rules(rule, join(steps, 0, {}), ())
         new = add_derived(start)
 
-    out.check_deadline()
     for rule in program.rules:
         if not rule.head:
             out.add_rules(rule, against_all(rule), ())
@@ -645,20 +662,16 @@ def _possible_atoms(gp: GroundProgram) -> frozenset[Atom]:
     """
     possible: set[Atom] = set()
     pending = [r for r in gp.rules if r.head]
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
+    while True:
+        waiting = []
         for rule in pending:
             if rule.pos <= possible:
-                before = len(possible)
                 possible.update(rule.head)
-                if len(possible) != before:
-                    changed = True
             else:
-                remaining.append(rule)
-        pending = remaining
-    return frozenset(possible)
+                waiting.append(rule)
+        if len(waiting) == len(pending):
+            return frozenset(possible)
+        pending = waiting
 
 
 class _MaskSpace:
@@ -672,16 +685,15 @@ class _MaskSpace:
     are not folded: ``cost`` charges them on the atoms of each answer set.
     """
 
-    def __init__(
-        self, gp: GroundProgram, atoms, limits: EvaluationLimits, deadline: float | None = None
-    ):
+    def __init__(self, gp: GroundProgram, atoms, run: _Run):
         self.forced = frozenset(next(iter(r.head)) for r in gp.rules if r.is_fact)
         self.candidates = sorted(set(atoms) - self.forced, key=str)
-        if len(self.candidates) > limits.max_candidate_atoms:
-            raise LimitExceeded("candidate atoms", len(self.candidates), limits.max_candidate_atoms)
+        limit = run.limits.max_candidate_atoms
+        if len(self.candidates) > limit:
+            raise LimitExceeded("candidate atoms", len(self.candidates), limit)
         self.possible = self.forced.union(self.candidates)
         self.bit = {atom: 1 << i for i, atom in enumerate(self.candidates)}
-        self.rules = self.fold_rules(gp.rules, deadline)
+        self.rules = self.fold_rules(gp.rules, run)
 
     def mask_of(self, atoms) -> int:
         m = 0
@@ -692,19 +704,18 @@ class _MaskSpace:
     def atoms_of(self, mask: int) -> frozenset[Atom]:
         return frozenset(a for a in self.candidates if mask & self.bit[a]) | self.forced
 
-    def fold_rules(self, rules, deadline: float | None) -> list[tuple[int, int, int]]:
+    def fold_rules(self, rules, run: _Run) -> list[tuple[int, int, int]]:
         """(head, pos, neg) masks for rules that can distinguish candidates.
 
         Rules whose positive body mentions an impossible atom can never fire;
         rules with a forced head atom or a forced negative literal are
-        satisfied by every candidate. Duplicates are collapsed. The deadline
-        is read after every 2048 rules, the cadence of ``_models``.
+        satisfied by every candidate. Duplicates are collapsed.
         """
+        run.start("folding")
         folded: list[tuple[int, int, int]] = []
         seen: set[tuple[int, int, int]] = set()
-        for i, r in enumerate(rules, 1):
-            if deadline is not None and i % 2048 == 0 and time.monotonic() > deadline:
-                raise SolverTimeout("folding deadline exceeded")
+        for r in rules:
+            run.tick()
             if not r.pos <= self.possible:
                 continue
             if r.neg & self.forced:
@@ -723,7 +734,7 @@ class _MaskSpace:
         return folded
 
 
-def _models(bits: int, folded, deadline: float | None, base: int = 0):
+def _models(bits: int, folded, run: _Run, base: int = 0):
     """Every ``base | sub``, ``sub`` a submask of ``bits``, that satisfies the folded rules.
 
     A depth-first search that assigns the bits of ``bits`` from the lowest up.
@@ -733,6 +744,7 @@ def _models(bits: int, folded, deadline: float | None, base: int = 0):
     checked once against ``base``. Full enumeration is ``bits`` all candidates
     and ``base`` 0; both minimality checks search the submasks of a model.
     """
+    run.start("enumeration")
     buckets: dict[int, list[tuple[int, int]]] = {}
     for head, pos, neg in folded:
         inside = (head | pos | neg) & bits
@@ -741,11 +753,9 @@ def _models(bits: int, folded, deadline: float | None, base: int = 0):
         elif (base & pos) == pos and not (base & (head | neg)):
             return
     stack = [(bits, base)]
-    ticks = 0
+    tick = run.tick
     while stack:
-        if deadline is not None and ticks % 2048 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout("enumeration deadline exceeded")
-        ticks += 1
+        tick()
         rest, m = stack.pop()
         if not rest:
             yield m
@@ -778,7 +788,7 @@ def _must_atoms(m: int, reduct) -> int:
         must = grown
 
 
-def _has_smaller_model(m: int, folded, deadline: float | None = None) -> bool:
+def _has_smaller_model(m: int, folded, run: _Run) -> bool:
     """Any proper submask of ``m`` that models the reduct w.r.t. ``m``?
 
     When ``_must_atoms`` is all of ``m`` there is none; for normal and
@@ -800,7 +810,7 @@ def _has_smaller_model(m: int, folded, deadline: float | None = None) -> bool:
     # contains ``must``: its body holds in ``m``, so its head meets the model
     # ``m``, and that atom lies in ``must``. Only the other rules are searched.
     rules = [r for r in reduct if (r[0] | r[1] | r[2]) & free]
-    return next(_models(free, rules + [(0, free, 0)], deadline, must), None) is not None
+    return next(_models(free, rules + [(0, free, 0)], run, must), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -824,11 +834,12 @@ def minimal_models(
         occurring |= r.head | r.pos | r.neg
     # Everything occurring is a "possible" atom here: plain models need no
     # derivability, so only the forced folding applies.
-    space = _MaskSpace(gp, occurring, limits, deadline)
+    run = _Run(limits, deadline)
+    space = _MaskSpace(gp, occurring, run)
     minimal = [
         space.atoms_of(m)
-        for m in _models((1 << len(space.candidates)) - 1, space.rules, deadline)
-        if next(_models(m, space.rules + [(0, m, 0)], deadline), None) is None
+        for m in _models((1 << len(space.candidates)) - 1, space.rules, run)
+        if next(_models(m, space.rules + [(0, m, 0)], run), None) is None
     ]
     return sorted(minimal, key=render_interpretation)
 
@@ -839,7 +850,8 @@ def is_answer_set(
     limits: EvaluationLimits = DEFAULT_LIMITS,
 ) -> Verdict:
     """Check one interpretation: model of its reduct, and minimal among subsets."""
-    gp = ground_program(program, limits)
+    run = _Run(limits)
+    gp = ground_program(program, _run=run)
     interpretation = frozenset(interpretation)
     if not is_model(interpretation, gp):
         return Verdict.NOT_A_MODEL
@@ -848,9 +860,9 @@ def is_answer_set(
     # Folding over the interpretation keeps the rules whose positive body it
     # contains; the reduct w.r.t. the full mask then keeps those whose body is
     # true, with negative literals true for every subset.
-    space = _MaskSpace(gp, interpretation, limits)
+    space = _MaskSpace(gp, interpretation, run)
     full = (1 << len(space.candidates)) - 1
-    if _has_smaller_model(full, space.rules):
+    if _has_smaller_model(full, space.rules, run):
         return Verdict.NOT_MINIMAL
     return Verdict.YES
 
@@ -871,19 +883,24 @@ def answer_sets(
     with true bodies deriving them; the oracle-equivalence tests validate it
     against unpruned enumeration.
     """
-    gp = ground_program(program, limits, deadline=deadline, relevant=True)
-    return _answer_sets_of_ground(gp, limits, deadline)
+    run = _Run(limits, deadline)
+    gp = ground_program(program, relevant=True, _run=run)
+    return _answer_sets_of_ground(gp, _run=run)
 
 
 def _answer_sets_of_ground(
     gp: GroundProgram,
-    limits: EvaluationLimits,
+    limits: EvaluationLimits = DEFAULT_LIMITS,
     deadline: float | None = None,
+    *,
+    _run: _Run | None = None,
 ) -> list[AnswerSet]:
-    space = _MaskSpace(gp, _possible_atoms(gp), limits, deadline)
+    """``answer_sets`` of a ground program; ``_run`` as in ``ground_program``."""
+    run = _run or _Run(limits, deadline)
+    space = _MaskSpace(gp, _possible_atoms(gp), run)
     found = []
-    for m in _models((1 << len(space.candidates)) - 1, space.rules, deadline):
-        if not _has_smaller_model(m, space.rules, deadline):
+    for m in _models((1 << len(space.candidates)) - 1, space.rules, run):
+        if not _has_smaller_model(m, space.rules, run):
             atoms = space.atoms_of(m)
             found.append(AnswerSet(atoms=atoms, cost=cost(atoms, gp.weak_constraints)))
 

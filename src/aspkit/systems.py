@@ -274,7 +274,7 @@ def parse_clingo_output(text: str) -> AnswerSets:
         stripped = line.strip()
         if stripped.startswith("Answer:"):
             tail = stripped[len("Answer:"):].strip()
-            if not tail.isdigit():
+            if not (tail.isascii() and tail.isdigit()):
                 raise MalformedOutput(line, "expected an answer number")
             if i + 1 == len(lines):
                 raise MalformedOutput(line, "answer without a witness line")
@@ -286,7 +286,7 @@ def parse_clingo_output(text: str) -> AnswerSets:
             if not sets:
                 raise MalformedOutput(line, "cost line before any answer")
             values = stripped[len("Optimization:"):].split()
-            if not values or not all(re.fullmatch(r"\d+", v) for v in values):
+            if not values or not all(v.isascii() and v.isdigit() for v in values):
                 raise MalformedOutput(line, "expected non-negative cost values")
             n = len(values)
             cost = {
@@ -307,7 +307,9 @@ def parse_clingo_output(text: str) -> AnswerSets:
 
 
 _DLV_COST_RE = re.compile(r"Cost \(\[Weight:Level\]\):\s*<(.*)>")
-_DLV_PAIR_RE = re.compile(r"\[(\d+):(\d+)\]")
+_DLV_PAIR = r"\[([0-9]+):([0-9]+)\]"
+_DLV_PAIR_RE = re.compile(_DLV_PAIR)
+_DLV_PAIRS_RE = re.compile(f"{_DLV_PAIR}(,{_DLV_PAIR})*")
 
 
 def parse_dlv_output(text: str) -> AnswerSets:
@@ -316,7 +318,7 @@ def parse_dlv_output(text: str) -> AnswerSets:
     Recognizes `{a, b, c}` model lines, the `Best model:` prefix (its
     presence marks an optimization run), `Cost ([Weight:Level]): <[w:l],...>`
     lines attached to the preceding model, and the no-model marker
-    `INCOHERENT`. Unrecognized lines are ignored.
+    `INCOHERENT`. Weights and levels are ASCII digits; other lines are ignored.
     """
     sets: list[AnswerSet] = []
     satisfiable = "unknown"
@@ -337,9 +339,10 @@ def parse_dlv_output(text: str) -> AnswerSets:
         if cost_match:
             if not sets:
                 raise MalformedOutput(line, "cost line before any model")
-            pairs = _DLV_PAIR_RE.findall(cost_match.group(1))
+            if not _DLV_PAIRS_RE.fullmatch(cost_match.group(1)):
+                raise MalformedOutput(line, "expected [weight:level] pairs")
             cost: dict[int, int] = {}
-            for weight, level in pairs:
+            for weight, level in _DLV_PAIR_RE.findall(cost_match.group(1)):
                 if int(weight) != 0:
                     cost[int(level)] = cost.get(int(level), 0) + int(weight)
             sets[-1] = AnswerSet(atoms=sets[-1].atoms, cost=cost)

@@ -212,8 +212,15 @@ class TestManifest:
             load_schema_manifest("cell/3 row:1:integer\n")
 
     def test_bad_field_spec_rejected(self):
+        specs = ("row=1=integer", "row:\u00b2:integer", "row:\u0661:integer")
+        for line in (f"cell/1 {spec}\n" for spec in specs):
+            with pytest.raises(InvalidSchema):
+                load_schema_manifest(line)
+
+    @pytest.mark.parametrize("arity", ["\u00b2", "\u0661"])
+    def test_arity_is_ascii_digits(self, arity):
         with pytest.raises(InvalidSchema):
-            load_schema_manifest("cell/1 row=1=integer\n")
+            load_schema_manifest(f"cell/{arity} row:1:integer")
 
 
 class TestRoundTripProperties:

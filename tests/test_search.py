@@ -28,10 +28,12 @@ from aspkit.refeval import (
     _has_smaller_model,
     _models,
     _MaskSpace,
+    _Run,
     answer_sets,
     ground_program,
     is_answer_set,
     minimal_models,
+    optimal_answer_sets,
 )
 from aspkit.syntax import Atom, Integer, parse_program
 
@@ -171,9 +173,9 @@ class TestDifferentialSearch:
         [only] = answer_sets(program)
         assert sorted(map(str, only.atoms)) == ["a", "b"]
         gp = ground_program(program)
-        reduct = _MaskSpace(gp, only.atoms, refeval.DEFAULT_LIMITS).rules
+        reduct = _MaskSpace(gp, only.atoms, _Run()).rules
         assert refeval._must_atoms(0b11, reduct) == 0
-        assert not _has_smaller_model(0b11, reduct)
+        assert not _has_smaller_model(0b11, reduct, _Run())
 
 
 # ---------------------------------------------------------------------------
@@ -194,36 +196,63 @@ def _clock(readings: list[float]):
 
 
 class TestDeadlines:
-    def test_past_deadline_stops_the_search(self):
+    @pytest.mark.parametrize(
+        "entry, phase",
+        [
+            ("ground_program", "grounding"),
+            ("ground_program relevant", "grounding"),
+            ("answer_sets", "grounding"),
+            ("optimal_answer_sets", "grounding"),
+            ("minimal_models", "folding"),
+        ],
+    )
+    def test_past_deadline_stops_every_entry_in_its_first_phase(self, entry, phase):
+        program = parse_program("a | b. c :- a. :~ c. [1:0]")
+        gp = ground_program(program)
+        call = {
+            "ground_program": lambda: ground_program(program, deadline=0.0),
+            "ground_program relevant": lambda: ground_program(program, deadline=0.0, relevant=True),
+            "answer_sets": lambda: answer_sets(program, deadline=0.0),
+            "optimal_answer_sets": lambda: optimal_answer_sets(program, deadline=0.0),
+            "minimal_models": lambda: minimal_models(gp, deadline=0.0),
+        }[entry]
+        with pytest.raises(SolverTimeout, match=f"^{phase} deadline exceeded$"):
+            call()
+
+    def test_past_deadline_stops_the_search(self, monkeypatch):
         gp = ground_program(parse_program(_pairs(11)), relevant=True)  # 22 candidates
-        with pytest.raises(SolverTimeout) as caught:
-            _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS, deadline=0.0)
-        assert caught.traceback[-1].name == "_models"
+        # folding's only read gives 0.0; the search's first gives 2.0
+        monkeypatch.setattr(refeval, "time", _clock([0.0, 2.0]))
+        with pytest.raises(SolverTimeout, match="^enumeration deadline exceeded$") as caught:
+            _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS, deadline=1.0)
+        assert [entry.name for entry in caught.traceback[-3:]] == ["_models", "start", "tick"]
 
     def test_deadline_is_checked_during_the_search(self, monkeypatch):
         gp = ground_program(parse_program(_pairs(11)), relevant=True)
         heads = {a for r in gp.rules for a in r.head}
-        folded = _MaskSpace(gp, heads, refeval.DEFAULT_LIMITS).rules
-        # the clock passes the deadline at the third check, 4096 nodes in
+        folded = _MaskSpace(gp, heads, _Run()).rules
+        # the clock passes the deadline at the third read, 2048 nodes in
         monkeypatch.setattr(refeval, "time", _clock([0.0, 0.0, 2.0]))
-        models = _models((1 << 22) - 1, folded, deadline=1.0)
+        models = _models((1 << 22) - 1, folded, _Run(deadline=1.0))
         yielded = 0
-        with pytest.raises(SolverTimeout):
+        with pytest.raises(SolverTimeout, match="^enumeration deadline exceeded$") as caught:
             for _ in models:
                 yielded += 1
         assert yielded > 0
+        assert [entry.name for entry in caught.traceback[-2:]] == ["_models", "tick"]
 
     def test_past_deadline_stops_the_submask_fallback(self, monkeypatch):
         # {a, b} is the only model, and the least-model check derives neither atom
         gp = ground_program(parse_program("a | b. a :- b. b :- a."), relevant=True)
-        # the search's only check reads 0.0; the fallback's first reads 2.0
-        monkeypatch.setattr(refeval, "time", _clock([0.0, 2.0]))
-        with pytest.raises(SolverTimeout) as caught:
+        # folding's and the search's only reads give 0.0; the fallback's first gives 2.0
+        monkeypatch.setattr(refeval, "time", _clock([0.0, 0.0, 2.0]))
+        with pytest.raises(SolverTimeout, match="^enumeration deadline exceeded$") as caught:
             _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS, deadline=1.0)
-        assert caught.traceback[-1].name == "_models"
-        assert "_has_smaller_model" in [entry.name for entry in caught.traceback]
+        assert [entry.name for entry in caught.traceback[-4:]] == [
+            "_has_smaller_model", "_models", "start", "tick"
+        ]
 
-    def test_past_deadline_stops_the_folding(self):
+    def test_past_deadline_stops_the_folding(self, monkeypatch):
         # 3,000 constraints fold to one rule over the two candidates a and b
         a, b = Atom("a", ()), Atom("b", ())
         rules = [GroundRule(head=frozenset({a, b}), pos=frozenset(), neg=frozenset())]
@@ -231,9 +260,12 @@ class TestDeadlines:
             q = Atom("q", (Integer(i),))
             rules.append(GroundRule(head=frozenset(), pos=frozenset({a}), neg=frozenset({q})))
         gp = GroundProgram(rules=tuple(rules))
-        with pytest.raises(SolverTimeout) as caught:
-            _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS, deadline=0.0)
-        assert caught.traceback[-1].name == "fold_rules"
+        # folding's first read gives 0.0; its second, 1024 rules in, gives 2.0
+        monkeypatch.setattr(refeval, "time", _clock([0.0, 2.0]))
+        with pytest.raises(SolverTimeout, match="^folding deadline exceeded$") as caught:
+            _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS, deadline=1.0)
+        assert [entry.name for entry in caught.traceback[-2:]] == ["fold_rules", "tick"]
+        monkeypatch.undo()
         assert [s.atoms for s in _answer_sets_of_ground(gp, refeval.DEFAULT_LIMITS)] == [
             frozenset({b})
         ]
@@ -242,11 +274,12 @@ class TestDeadlines:
         # the constraint's join makes 10,100 matches and yields no instance
         facts = "".join(f"a({i}). b({i}). " for i in range(100))
         program = parse_program(facts + ":- a(X), b(Y), X > Y + 100.")
-        # the checks before, inside and after the only round read 0.0; the join's read 2.0
-        monkeypatch.setattr(refeval, "time", _clock([0.0, 0.0, 0.0, 2.0]))
-        with pytest.raises(SolverTimeout) as caught:
+        # grounding's first read gives 0.0; its second, at the 824th join match
+        # after the 200 facts, gives 2.0
+        monkeypatch.setattr(refeval, "time", _clock([0.0, 2.0]))
+        with pytest.raises(SolverTimeout, match="^grounding deadline exceeded$") as caught:
             ground_program(program, deadline=1.0, relevant=True)
-        assert [entry.name for entry in caught.traceback[-3:]] == ["run", "tick", "check_deadline"]
+        assert [entry.name for entry in caught.traceback[-2:]] == ["join", "tick"]
         monkeypatch.undo()
         assert len(ground_program(program, relevant=True).rules) == 200
 

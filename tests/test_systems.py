@@ -180,8 +180,9 @@ class TestClingoOutputParsing:
         )
 
     def test_malformed_answer_number(self):
-        with pytest.raises(MalformedOutput):
-            parse_clingo_output("Answer: x\na\nSATISFIABLE")
+        for number in ("x", "\u00b2", "\u0661"):
+            with pytest.raises(MalformedOutput):
+                parse_clingo_output(f"Answer: {number}\na\nSATISFIABLE")
 
     def test_cost_before_any_answer(self):
         with pytest.raises(MalformedOutput):
@@ -190,6 +191,11 @@ class TestClingoOutputParsing:
     def test_negative_cost_rejected(self):
         with pytest.raises(MalformedOutput):
             parse_clingo_output("Answer: 1\na\nOptimization: -1\nSATISFIABLE")
+
+    @pytest.mark.parametrize("value", ["\u0661", "\u00b2"])
+    def test_cost_is_ascii_digits(self, value):
+        with pytest.raises(MalformedOutput):
+            parse_clingo_output(f"Answer: 1\na\nOptimization: {value}\nSATISFIABLE")
 
     def test_inconsistent_unsat_with_witness(self):
         with pytest.raises(MalformedOutput):
@@ -226,6 +232,13 @@ class TestDlvOutputParsing:
     def test_cost_before_model(self):
         with pytest.raises(MalformedOutput):
             parse_dlv_output("Cost ([Weight:Level]): <[1:1]>")
+
+    @pytest.mark.parametrize(
+        "body", ["[\u0661:\u0662]", "[1:\u00b2]", "", "junk", "[1:1] [2:2]", "[1:1],", "[-1:1]"]
+    )
+    def test_cost_that_is_not_weight_level_pairs(self, body):
+        with pytest.raises(MalformedOutput):
+            parse_dlv_output(f"{{a}}\nCost ([Weight:Level]): <{body}>")
 
     def test_parentheses_and_commas_inside_quotes(self):
         parsed = parse_dlv_output('{p("a)"), q(1), r("x,(y", 2)}')
