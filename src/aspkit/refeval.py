@@ -32,10 +32,7 @@ universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
 the instances whose positive body is derivable, found by a semi-naive join
 against the derivable atoms. The other instances can never fire, so the
 answer sets and costs are the same; the naive mode stays the oracle.
-
-Each public entry holds its limits and deadline in one ``_Run``, the only
-reader of the clock: when a phase starts (grounding, folding, each
-``_models`` search) and then every 1,024 ticks. A timeout names its phase.
+Limits and the deadline reach every phase through ``_Run``, the only clock reader.
 """
 
 from __future__ import annotations
@@ -48,8 +45,8 @@ from enum import Enum
 
 from .errors import LimitExceeded, SolverTimeout
 from .syntax import (
-    Atom, Builtin, Constant, Integer, Literal, Program, Rule, Sum, Term, Variable,
-    WeakConstraint, classify_predicates, render,
+    Atom, Builtin, Constant, Integer, Program, Sum, Term, Variable, classify_predicates,
+    render_rule, render_weak,
 )
 
 
@@ -114,7 +111,7 @@ class GroundRule:
         return len(self.head) == 1 and not self.pos and not self.neg
 
     def render(self) -> str:
-        return render(Rule(head=tuple(sorted(self.head, key=str)), body=_body(self.pos, self.neg)))
+        return render_rule(sorted(str(a) for a in self.head), _render_body(self.pos, self.neg))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,14 +122,11 @@ class GroundWeakConstraint:
     level: int
 
     def render(self) -> str:
-        body = _body(self.pos, self.neg)
-        return render(WeakConstraint(body, Integer(self.weight), Integer(self.level)))
+        return render_weak(_render_body(self.pos, self.neg), self.weight, self.level)
 
 
-def _body(pos: frozenset[Atom], neg: frozenset[Atom]) -> tuple[Literal, ...]:
-    """Positive literals, then negative ones, each sorted by text."""
-    negative = [Literal(a, negated=True) for a in sorted(neg, key=str)]
-    return tuple([Literal(a) for a in sorted(pos, key=str)] + negative)
+def _render_body(pos: frozenset[Atom], neg: frozenset[Atom]) -> list[str]:
+    return sorted(str(a) for a in pos) + sorted(f"not {a}" for a in neg)
 
 
 @dataclass(frozen=True)
@@ -275,7 +269,6 @@ def ground_program(
     deadline: float | None = None,
     *,
     relevant: bool = False,
-    _run: _Run | None = None,  # an enclosing evaluation's run, in place of limits and deadline
 ) -> GroundProgram:
     """Instantiate every statement over the universe.
 
@@ -293,16 +286,18 @@ def ground_program(
     outside it can never fire, so answer sets and costs do not change.
     ``max_ground_rules`` counts the instances actually kept in either mode.
     """
-    run = _run or _Run(limits, deadline)
     universe = sorted(herbrand_universe(program), key=_term_sort_key)
+    nconst = len(universe)
 
-    substitution_budget = max(2_000_000, _SUBSTITUTION_FACTOR * run.limits.max_ground_rules)
+    substitution_budget = max(2_000_000, _SUBSTITUTION_FACTOR * limits.max_ground_rules)
     total_subs = 0
     for stmt in list(program.rules) + list(program.weak_constraints):
-        total_subs += len(universe) ** len(stmt.variables())
+        nvars = len(stmt.variables())
+        total_subs += nconst**nvars if nvars else 1
         if total_subs > substitution_budget:
             raise LimitExceeded("grounding substitutions", total_subs, substitution_budget)
 
+    run = _Run(limits, deadline)
     out = _Instances(run)
     run.start("grounding")
     if relevant:
@@ -355,9 +350,8 @@ class _Instances:
         pos_atoms = rule.positive_body_atoms()
         neg_atoms = rule.negative_body_atoms()
         cache = self._cache
-        tick = self.run.tick
         for sub in subs:
-            tick()
+            self.run.tick()
             if any(not eval_builtin(b, sub) for b in builtins):
                 continue
             self._keep(
@@ -373,9 +367,8 @@ class _Instances:
         pos_atoms = weak.positive_body_atoms()
         neg_atoms = weak.negative_body_atoms()
         cache = self._cache
-        tick = self.run.tick
         for sub in subs:
-            tick()
+            self.run.tick()
             weight = _ground_value(weak.weight, sub)
             level = _ground_value(weak.level, sub)
             if not isinstance(weight, Integer) or not isinstance(level, Integer):
@@ -662,16 +655,20 @@ def _possible_atoms(gp: GroundProgram) -> frozenset[Atom]:
     """
     possible: set[Atom] = set()
     pending = [r for r in gp.rules if r.head]
-    while True:
-        waiting = []
+    changed = True
+    while changed:
+        changed = False
+        remaining = []
         for rule in pending:
             if rule.pos <= possible:
+                before = len(possible)
                 possible.update(rule.head)
+                if len(possible) != before:
+                    changed = True
             else:
-                waiting.append(rule)
-        if len(waiting) == len(pending):
-            return frozenset(possible)
-        pending = waiting
+                remaining.append(rule)
+        pending = remaining
+    return frozenset(possible)
 
 
 class _MaskSpace:
@@ -850,8 +847,7 @@ def is_answer_set(
     limits: EvaluationLimits = DEFAULT_LIMITS,
 ) -> Verdict:
     """Check one interpretation: model of its reduct, and minimal among subsets."""
-    run = _Run(limits)
-    gp = ground_program(program, _run=run)
+    gp = ground_program(program, limits)
     interpretation = frozenset(interpretation)
     if not is_model(interpretation, gp):
         return Verdict.NOT_A_MODEL
@@ -860,6 +856,7 @@ def is_answer_set(
     # Folding over the interpretation keeps the rules whose positive body it
     # contains; the reduct w.r.t. the full mask then keeps those whose body is
     # true, with negative literals true for every subset.
+    run = _Run(limits)
     space = _MaskSpace(gp, interpretation, run)
     full = (1 << len(space.candidates)) - 1
     if _has_smaller_model(full, space.rules, run):
@@ -883,20 +880,16 @@ def answer_sets(
     with true bodies deriving them; the oracle-equivalence tests validate it
     against unpruned enumeration.
     """
-    run = _Run(limits, deadline)
-    gp = ground_program(program, relevant=True, _run=run)
-    return _answer_sets_of_ground(gp, _run=run)
+    gp = ground_program(program, limits, deadline=deadline, relevant=True)
+    return _answer_sets_of_ground(gp, limits, deadline)
 
 
 def _answer_sets_of_ground(
     gp: GroundProgram,
-    limits: EvaluationLimits = DEFAULT_LIMITS,
+    limits: EvaluationLimits,
     deadline: float | None = None,
-    *,
-    _run: _Run | None = None,
 ) -> list[AnswerSet]:
-    """``answer_sets`` of a ground program; ``_run`` as in ``ground_program``."""
-    run = _run or _Run(limits, deadline)
+    run = _Run(limits, deadline)
     space = _MaskSpace(gp, _possible_atoms(gp), run)
     found = []
     for m in _models((1 << len(space.candidates)) - 1, space.rules, run):

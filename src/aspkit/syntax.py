@@ -546,16 +546,23 @@ def render(x) -> str:
         parts = [render(r) for r in x.rules] + [render(w) for w in x.weak_constraints]
         return "\n".join(parts)
     if isinstance(x, Rule):
-        head = " | ".join(str(a) for a in x.head)
-        if not x.body:
-            return f"{head}."
-        body = ", ".join(str(e) for e in x.body)
-        if not head:
-            return f":- {body}."
-        return f"{head} :- {body}."
+        return render_rule([str(a) for a in x.head], [str(e) for e in x.body])
     if isinstance(x, WeakConstraint):
-        body = ", ".join(str(e) for e in x.body)
-        return f":~ {body}. [{x.weight}:{x.level}]"
+        return render_weak([str(e) for e in x.body], x.weight, x.level)
     if isinstance(x, (Atom, Literal, Builtin, Sum, Variable, Constant, Integer)):
         return str(x)
     raise TypeError(f"cannot render {type(x).__name__}")
+
+
+def render_rule(head: list[str], body: list[str]) -> str:
+    """A rule's text from the texts of its head atoms and body elements."""
+    if not body:
+        return " | ".join(head) + "."
+    if not head:
+        return f":- {', '.join(body)}."
+    return f"{' | '.join(head)} :- {', '.join(body)}."
+
+
+def render_weak(body: list[str], weight, level) -> str:
+    """A weak constraint's text from the texts of its body elements."""
+    return f":~ {', '.join(body)}. [{weight}:{level}]"

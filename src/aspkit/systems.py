@@ -307,9 +307,7 @@ def parse_clingo_output(text: str) -> AnswerSets:
 
 
 _DLV_COST_RE = re.compile(r"Cost \(\[Weight:Level\]\):\s*<(.*)>")
-_DLV_PAIR = r"\[([0-9]+):([0-9]+)\]"
-_DLV_PAIR_RE = re.compile(_DLV_PAIR)
-_DLV_PAIRS_RE = re.compile(f"{_DLV_PAIR}(,{_DLV_PAIR})*")
+_DLV_PAIR_RE = re.compile(r"\[([0-9]+):([0-9]+)\]")
 
 
 def parse_dlv_output(text: str) -> AnswerSets:
@@ -339,12 +337,14 @@ def parse_dlv_output(text: str) -> AnswerSets:
         if cost_match:
             if not sets:
                 raise MalformedOutput(line, "cost line before any model")
-            if not _DLV_PAIRS_RE.fullmatch(cost_match.group(1)):
-                raise MalformedOutput(line, "expected [weight:level] pairs")
             cost: dict[int, int] = {}
-            for weight, level in _DLV_PAIR_RE.findall(cost_match.group(1)):
-                if int(weight) != 0:
-                    cost[int(level)] = cost.get(int(level), 0) + int(weight)
+            for pair in cost_match.group(1).split(","):
+                pair_match = _DLV_PAIR_RE.fullmatch(pair)
+                if not pair_match:
+                    raise MalformedOutput(line, "expected [weight:level] pairs")
+                weight, level = int(pair_match[1]), int(pair_match[2])
+                if weight != 0:
+                    cost[level] = cost.get(level, 0) + weight
             sets[-1] = AnswerSet(atoms=sets[-1].atoms, cost=cost)
             continue
         if stripped == "INCOHERENT":

@@ -189,13 +189,9 @@ class TestClingoOutputParsing:
             parse_clingo_output("Optimization: 1\nSATISFIABLE")
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(MalformedOutput):
-            parse_clingo_output("Answer: 1\na\nOptimization: -1\nSATISFIABLE")
-
-    @pytest.mark.parametrize("value", ["\u0661", "\u00b2"])
-    def test_cost_is_ascii_digits(self, value):
-        with pytest.raises(MalformedOutput):
-            parse_clingo_output(f"Answer: 1\na\nOptimization: {value}\nSATISFIABLE")
+        for value in ("-1", "\u0661", "\u00b2"):
+            with pytest.raises(MalformedOutput):
+                parse_clingo_output(f"Answer: 1\na\nOptimization: {value}\nSATISFIABLE")
 
     def test_inconsistent_unsat_with_witness(self):
         with pytest.raises(MalformedOutput):
