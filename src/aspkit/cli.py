@@ -68,20 +68,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--system", choices=tuple(SOLVERS), default="ref")
-    sub.add_argument("-n", "--models", type=int, default=0, help="0 enumerates all")
+    sub.add_argument("-n", "--models", type=_model_count, default=0, help="0 enumerates all")
     sub.add_argument("--filter", default=None, help="comma-separated predicate names")
     sub.add_argument("--optimize", action="store_true", help="keep only optimal answer sets")
     _limit_flags(sub)
 
 
+def _ascii_int(text: str, least: int, kind: str) -> int:
+    # ASCII digits only, as in program text; int() would also take `١`, `+3` and ` 1_0 `.
+    if not (text.isascii() and text.isdigit()) or int(text) < least:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+    return _ascii_int(text, 1, "positive")
+
+
+def _model_count(text: str) -> int:
+    return _ascii_int(text, 0, "non-negative")
 
 
 def _limit_flags(sub: argparse.ArgumentParser) -> None:
@@ -126,9 +131,6 @@ def cmd_solve(args) -> int:
     spec = SOLVERS[args.system]()
     if args.filter is not None and not spec.accepts_filter:
         sys.stderr.write("error: --filter is only supported with --system ref or dlv\n")
-        return EXIT_USAGE
-    if args.models < 0:
-        sys.stderr.write("error: --models must be >= 0\n")
         return EXIT_USAGE
 
     handler = Handler(spec, limits=_limits(args))

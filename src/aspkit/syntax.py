@@ -5,6 +5,13 @@ project: `|` for head disjunction, `:-` for implication, `not` for default
 negation, `:~ body. [w:l]` for weak constraints, `%` line comments, and
 builtin comparisons (`=`, `!=`/`<>`, `<`, `>`, `<=`, `>=`) whose sides may be
 a term or a single binary sum `t + u`.
+
+A ground atom written with no whitespace, such as `reading(12,s1x4,"x")`, is
+read as one ATOM token, so rendered facts and solver witnesses parse in one
+regex match per atom. The parser reads the same atom, results and error
+positions as from the per-character tokens; where the atom is not read as an
+atom (a function term such as `f(a)`, which is always an error), it first
+expands the token in place into those tokens.
 """
 
 from __future__ import annotations
@@ -206,26 +213,44 @@ def _collect_vars(terms, seen: list[str]) -> None:
 # Lexer
 # ---------------------------------------------------------------------------
 
+# One argument of a whole atom: a string, an integer, or a lowercase symbol
+# other than `not`.
+_ARG = r'(?:"[^"\n]*"|-?[0-9]+|(?!not[,)])[a-z][A-Za-z0-9_]*)'
+
 # One alternative per token kind, tried in order at each position: `:-`,
 # `:~` and the two-character comparisons before their one-character prefixes.
 # `\r\n`, `\r` and `\n` end a line outside quoted strings; a string may hold
 # a `\r`. Only ASCII letters and digits make words and integers; ERROR
-# catches any other character.
+# catches any other character. ATOM, tried before WORD, is a whole ground
+# atom `p(t1,...,tn)` with no whitespace and neither `not` nor a variable in
+# it: exactly the text of the fine tokens IDENT, LPAREN, terms and COMMAs,
+# RPAREN that `_expand` gives back.
 _TOKEN_RE = re.compile(
-    r"""(?P<NEWLINE>\r\n?|\n)|(?P<SKIP>[ \t]+)|(?P<COMMENT>%[^\r\n]*)
-    |(?P<STRING>"[^"\n]*")|(?P<INTEGER>-?[0-9]+)|(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+    rf"""(?P<NEWLINE>\r\n?|\n)|(?P<SKIP>[ \t]+)|(?P<COMMENT>%[^\r\n]*)
+    |(?P<STRING>"[^"\n]*")|(?P<INTEGER>-?[0-9]+)
+    |(?P<ATOM>(?!not\()[a-z][A-Za-z0-9_]*\({_ARG}(?:,{_ARG})*\))
+    |(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<IMPLIES>:-)|(?P<WEAK>:~)|(?P<OP><>|<=|>=|!=|=|<|>)
     |(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACKET>\[)|(?P<RBRACKET>])|(?P<COLON>:)
     |(?P<COMMA>,)|(?P<DOT>\.)|(?P<PIPE>\|)|(?P<PLUS>\+)|(?P<ERROR>.)""",
     re.VERBOSE,
 )
 
+# The arguments of an ATOM token's text, by kind; commas and `)` are skipped.
+_ARG_RE = re.compile(r'(?P<INTEGER>-?[0-9]+)|(?P<STRING>"[^"\n]*")|(?P<IDENT>[a-z][A-Za-z0-9_]*)')
+
 
 class _Token(NamedTuple):
+    """``value`` is what error messages quote; ``text`` is the source covered.
+
+    They differ only for ATOM, whose ``value`` is the predicate name.
+    """
+
     kind: str
     value: str
     line: int
     column: int
+    text: str
 
 
 def _tokenize(text: str, comments: bool = True) -> list[_Token]:
@@ -241,19 +266,36 @@ def _tokenize(text: str, comments: bool = True) -> list[_Token]:
             continue
         if kind == "SKIP" or (kind == "COMMENT" and comments):
             continue
-        value, column = m.group(), m.start() - line_start + 1
-        if kind == "WORD":
+        value = source = m.group()
+        column = m.start() - line_start + 1
+        if kind == "ATOM":
+            value = source[: source.index("(")]
+        elif kind == "WORD":
             kind = "NOT" if value == "not" else "IDENT" if value[0].islower() else "VARIABLE"
         elif kind in ("ERROR", "COMMENT"):
             if value != '"':
                 raise ParseError(f"unexpected character {value[0]!r}", line, column)
             closed = text.find('"', m.end()) >= 0
             raise ParseError("newline in string" if closed else "unterminated string", line, column)
-        tokens.append(_Token(kind, value, line, column))
+        tokens.append(_Token(kind, value, line, column, source))
     # After a comment on the last line, EOF sits where the comment starts.
     end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(text)
-    tokens.append(_Token("EOF", "", line, end - line_start + 1))
+    tokens.append(_Token("EOF", "", line, end - line_start + 1, ""))
     return tokens
+
+
+def _expand(atom: _Token) -> list[_Token]:
+    """The fine tokens an ATOM token stands for, with their own columns."""
+    name, line, column, text = atom.value, atom.line, atom.column, atom.text
+    fine = [
+        _Token("IDENT", name, line, column, name),
+        _Token("LPAREN", "(", line, column + len(name), "("),
+    ]
+    for m in _ARG_RE.finditer(text, len(name) + 1):
+        arg, after = m.group(), text[m.end()]
+        fine.append(_Token(m.lastgroup, arg, line, column + m.start(), arg))
+        fine.append(_Token("COMMA" if after == "," else "RPAREN", after, line, column + m.end(), after))
+    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +392,10 @@ class _Parser:
             return Literal(self.parse_atom(), negated=True)
         if tok.kind in ("VARIABLE", "INTEGER", "STRING"):
             return self.parse_builtin()
-        if tok.kind == "IDENT":
+        if tok.kind in ("IDENT", "ATOM"):
             # A lone lowercase identifier is a builtin operand when followed
             # by a comparison or `+`, and an atom otherwise.
-            follow = self.peek(1).kind
-            if follow in ("OP", "PLUS") :
+            if tok.kind == "IDENT" and self.peek(1).kind in ("OP", "PLUS"):
                 return self.parse_builtin()
             return Literal(self.parse_atom())
         raise self.error(f"expected a literal or builtin, found {tok.value!r}")
@@ -375,6 +416,13 @@ class _Parser:
         return left
 
     def parse_atom(self) -> Atom:
+        tok = self.peek()
+        if tok.kind == "ATOM":
+            self.pos += 1
+            return Atom(tok.value, tuple([
+                Integer(int(i)) if i else Constant(s or w)
+                for i, s, w in _ARG_RE.findall(tok.text, len(tok.value) + 1)
+            ]))
         name = self.expect("IDENT")
         terms: list[Term] = []
         if self.peek().kind == "LPAREN":
@@ -388,6 +436,11 @@ class _Parser:
 
     def parse_term(self) -> Term:
         tok = self.peek()
+        if tok.kind == "ATOM":
+            # A function term such as `f(a)`: read `f` as a symbol and leave
+            # the `(` to the caller, which rejects it.
+            self.tokens[self.pos : self.pos + 1] = _expand(tok)
+            tok = self.peek()
         if tok.kind == "VARIABLE":
             self.next()
             if tok.value == "_":
@@ -455,7 +508,7 @@ def parse_witness(text: str, line: str, commas: bool) -> frozenset[Atom]:
                 raise ParseError(f"non-ground atom {atom}", start.line, start.column)
             atoms.append(atom)
             last = parser.tokens[parser.pos - 1]
-            end = last.column + len(last.value)
+            end = last.column + len(last.text)
     except ParseError as exc:
         raise MalformedOutput(line, str(exc)) from exc
     return frozenset(atoms)

@@ -351,6 +351,15 @@ class TestUsage:
         assert f"argument {flag}: must be a positive integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--limit-atoms", "١"), ("--limit-rules", " 1_0 "), ("-n", "١"), ("-n", "+3")]
+    )
+    def test_numbers_are_ascii_digits_only(self, bundle_dir, flag, value):
+        code, out, err = run_cli("solve", flag, value, str(bundle_dir / "3col-k3.lp"))
+        assert (code, out) == (2, "")
+        assert f"integer, got {value!r}" in err
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # `aspkit solve` output, pinned

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aspkit.errors import ParseError, SafetyError
+from aspkit import syntax
+from aspkit.errors import MalformedOutput, ParseError, SafetyError
 from aspkit.syntax import (
     SYMBOL_RE,
     Atom,
@@ -15,9 +18,11 @@ from aspkit.syntax import (
     Sum,
     Variable,
     WeakConstraint,
+    _expand,
     _tokenize,
     classify_predicates,
     parse_program,
+    parse_witness,
     render,
     safety_check,
 )
@@ -377,3 +382,144 @@ def test_only_ascii_digits_make_integers():
     for text in ("p(²).", "p(١).", "p(-١)."):
         with pytest.raises(ParseError):
             parse_program(text)
+
+
+# --- whole-atom tokens: same results and errors as the per-character tokens ---
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("p(f(a)).", 1, 4, "expected RPAREN, found '('"),
+        (":- q(X), X = f(a).", 1, 15, "expected DOT, found '('"),
+        (":~ p(a). [w(1):1]", 1, 12, "expected COLON, found '('"),
+        ("p(a) q(b).", 1, 6, "expected DOT, found 'q'"),
+        ("not(a).", 1, 1, "expected IDENT, found 'not'"),
+        ("p(not).", 1, 3, "expected a term, found 'not'"),
+    ],
+)
+def test_ground_atom_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
+def test_witness_atoms_need_whitespace_between_them():
+    with pytest.raises(MalformedOutput) as err:
+        parse_witness("p(a)q(b)", "p(a)q(b)", commas=False)
+    assert str(err.value).endswith("(1:5: expected whitespace between atoms)")
+
+
+def test_whole_atom_token_and_its_expansion():
+    tokens = _tokenize('p(a,-1,"x,y").')
+    assert [(t.kind, t.value, t.line, t.column, t.text) for t in tokens] == [
+        ("ATOM", "p", 1, 1, 'p(a,-1,"x,y")'), ("DOT", ".", 1, 14, "."), ("EOF", "", 1, 15, ""),
+    ]
+    assert [(t.kind, t.value, t.line, t.column) for t in _expand(tokens[0])] == [
+        ("IDENT", "p", 1, 1), ("LPAREN", "(", 1, 2), ("IDENT", "a", 1, 3),
+        ("COMMA", ",", 1, 4), ("INTEGER", "-1", 1, 5), ("COMMA", ",", 1, 7),
+        ("STRING", '"x,y"', 1, 8), ("RPAREN", ")", 1, 13),
+    ]
+
+
+def _fine_tokenize(text, comments=True):
+    """The tokens of ``text`` with every ATOM token replaced by its expansion.
+
+    ``_tokenize`` is this module's own name for it, which the patch in the
+    test below leaves alone.
+    """
+    fine = []
+    for tok in _tokenize(text, comments):
+        fine.extend(_expand(tok) if tok.kind == "ATOM" else [tok])
+    return fine
+
+
+def _outcome(read):
+    try:
+        return ("ok", read())
+    except (ParseError, SafetyError, MalformedOutput) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+
+
+def _readings(text):
+    def safety():
+        program = parse_program(text, check_safety=False)
+        return [safety_check(s) for s in program.rules + program.weak_constraints]
+
+    return [
+        _outcome(lambda: parse_program(text)),
+        _outcome(safety),
+        _outcome(lambda: parse_witness(text, text, commas=False)),
+        _outcome(lambda: parse_witness(text, text, commas=True)),
+    ]
+
+
+_ground_args = st.sampled_from(
+    ['"a,b"', '"x)y"', '"50%"', '"r\rs"', '""', "-1", "0", "007", "-007", "12",
+     "a", "s1x4", "nothing", "nota"]
+)
+_args = st.one_of(
+    _ground_args,
+    st.sampled_from(["not", "X", "_", "Y1", "f(a)", " a", "a ", "-", "A"]),
+)
+_names = st.sampled_from(["p", "reading", "nothing", "not", "q1"])
+_mixed_atoms = st.builds(
+    lambda name, args, sep: f"{name}({sep.join(args)})",
+    _names,
+    st.lists(_args, min_size=1, max_size=4),
+    st.sampled_from([",", ", ", " ,"]),
+)
+# Ground atoms with no spaces, which the tokenizer reads whole, and atoms
+# with variables, `not`, function terms or spaces, which it does not.
+_any_atoms = st.one_of(
+    st.builds(
+        lambda name, args: f"{name}({','.join(args)})",
+        _names,
+        st.lists(_ground_args, min_size=1, max_size=4),
+    ),
+    _names,
+    _mixed_atoms,
+)
+_pieces = st.one_of(
+    _any_atoms,
+    st.sampled_from(
+        [".", ". ", " ", ":-", " :- ", ", ", ",", "|", " | ", "not ", "\n", "\r\n", "\r",
+         "% c\n", ":~ ", ". [1:0]", " [w(1):1]", " = ", "X", " + ", "<", "(", ")", "f(a)"]
+    ),
+)
+_rule_texts = st.lists(_pieces, max_size=14).map("".join)
+_fact_texts = st.lists(
+    st.tuples(_any_atoms, st.sampled_from([".\n", ".\r\n", ".\r", ". ", "", " ", ", "])).map("".join),
+    max_size=6,
+).map("".join)
+
+_body_elements = st.one_of(
+    _any_atoms,
+    _any_atoms.map("not {}".format),
+    st.builds(
+        "{} {} {}".format,
+        st.one_of(_any_atoms, _args),
+        st.sampled_from(["=", "<", "+", "!="]),
+        st.one_of(_any_atoms, _args),
+    ),
+)
+_statement_texts = st.lists(
+    st.builds(
+        lambda start, body, end: start + ", ".join(body) + end,
+        st.one_of(st.sampled_from([":- ", ":~ "]), _any_atoms.map("{} :- ".format)),
+        st.lists(_body_elements, min_size=1, max_size=3),
+        st.sampled_from([".\n", ".\r\n", ".\r", ". [1:0]\n", ". [w(1):1]", "", ". % c\n"]),
+    ),
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_rule_texts, _fact_texts, _statement_texts))
+@example('reading(12,s1x4,56).\r\nq("%,)\r",-007,nothing).\rp(a)q(b).')
+@example('p(a) q(not) not(a). X = f(a)')
+def test_whole_atom_tokens_read_like_their_expansion(text):
+    whole = _readings(text)
+    with mock.patch.object(syntax, "_tokenize", _fine_tokenize):
+        fine = _readings(text)
+    assert whole == fine
