@@ -198,7 +198,8 @@ class Handler:
 
 
 # Any other AspkitError (reference parse, safety, limit and option errors, an
-# input file that cannot be written) is an evaluation_error.
+# input file that cannot be written, an argument no process can take) is an
+# evaluation_error.
 _FAILURE_KINDS = {
     SolverNotFound: "solver_not_found",
     SolverTimeout: "timeout",

@@ -15,16 +15,17 @@ Semantics implemented here, over ground programs:
 Everything is computed over an explicitly bounded candidate space: the facts
 plus any of the ``2^n`` subsets of ``n`` candidate atoms, with
 ``max_candidate_atoms`` capping ``n``. One class, ``_MaskSpace``, builds it
-from a ground program and the atoms it may contain: the derivable atoms for
-``answer_sets``, the occurring ones for ``minimal_models`` and the checked
-interpretation for ``is_answer_set``. Only rules are folded into bit masks;
-each answer set is charged by ``cost`` on its atoms. One backtracking search,
-``_models``, drops a partial assignment as soon as it violates a rule; it
-enumerates the space and also serves both minimality checks, which search the
-submasks of a model with that model forbidden. For answer sets a least-model
-check of the reduct comes first, and the search runs only when head cycles
-leave it undecided. This module trades speed for being small enough to audit,
-and doubles as the test oracle for the rest of the package.
+from a ground program and the atoms it may contain: for ``answer_sets`` the
+head atoms of the relevance grounding, which are exactly its derivable atoms;
+the occurring ones for ``minimal_models``; the checked interpretation for
+``is_answer_set``. Only rules are folded into bit masks; each answer set is
+charged by ``cost`` on its atoms. One backtracking search, ``_models``, drops
+a partial assignment as soon as it violates a rule; it enumerates the space
+and also serves both minimality checks, which search the submasks of a model
+with that model forbidden. For answer sets a least-model check of the reduct
+comes first, and the search runs only when head cycles leave it undecided.
+This module trades speed for being small enough to audit, and doubles as the
+test oracle for the rest of the package.
 
 Grounding has two modes. The naive one tries every substitution over the
 universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
@@ -647,39 +648,16 @@ def cost(interpretation: frozenset[Atom], gwcs) -> dict[int, int]:
 # Enumeration machinery
 # ---------------------------------------------------------------------------
 
-def _possible_atoms(gp: GroundProgram) -> frozenset[Atom]:
-    """Least set closed under: head atoms of rules whose positive body is possible.
-
-    Negative literals are ignored, so this over-approximates every answer
-    set; atoms outside it can never be derived.
-    """
-    possible: set[Atom] = set()
-    pending = [r for r in gp.rules if r.head]
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for rule in pending:
-            if rule.pos <= possible:
-                before = len(possible)
-                possible.update(rule.head)
-                if len(possible) != before:
-                    changed = True
-            else:
-                remaining.append(rule)
-        pending = remaining
-    return frozenset(possible)
-
-
 class _MaskSpace:
     """The interpretations between the facts of ``gp`` and ``atoms``, as bit masks.
 
     The facts are forced in and folded away. Every other atom of ``atoms`` is
     a candidate: bit ``i`` is the ``i``-th in rendering order, and more than
-    ``max_candidate_atoms`` of them raise :class:`LimitExceeded`. ``possible``
-    is the facts plus the candidates; ``rules`` are the rules of ``gp``
-    folded into the space (``fold_rules``), in ground order. Weak constraints
-    are not folded: ``cost`` charges them on the atoms of each answer set.
+    ``max_candidate_atoms`` of them raise :class:`LimitExceeded`. For answer
+    sets ``atoms`` are the heads of the relevance grounding, its derivable
+    atoms. ``possible`` is the facts plus the candidates; ``rules`` are the
+    rules of ``gp`` folded into the space (``fold_rules``), in ground order.
+    Weak constraints are not folded: ``cost`` charges them on each answer set.
     """
 
     def __init__(self, gp: GroundProgram, atoms, run: _Run):
@@ -871,14 +849,11 @@ def answer_sets(
 ) -> list[AnswerSet]:
     """Every answer set exactly once, with its cost, in canonical render order.
 
-    The program is grounded in relevance mode: only instances whose positive
-    body is derivable. Candidates are the subsets of the derivable
-    (positively reachable) atoms of the grounding with facts forced in; the
-    search yields those that are models of the grounding, and each is checked
-    to be minimal among the models of its own reduct.
-    The derivability restriction is sound because answer-set atoms need rules
-    with true bodies deriving them; the oracle-equivalence tests validate it
-    against unpruned enumeration.
+    The program is grounded in relevance mode, so the head atoms of the
+    grounding are exactly its derivable atoms. Candidates are their subsets
+    with facts forced in; the search yields those that are models of the
+    grounding, and each is checked to be minimal among the models of its own
+    reduct.
     """
     gp = ground_program(program, limits, deadline=deadline, relevant=True)
     return _answer_sets_of_ground(gp, limits, deadline)
@@ -889,8 +864,11 @@ def _answer_sets_of_ground(
     limits: EvaluationLimits,
     deadline: float | None = None,
 ) -> list[AnswerSet]:
+    """Answer sets of ``gp``, candidates its head atoms (a superset of the
+    derivable ones on any grounding, since no answer set holds an atom no rule
+    derives)."""
     run = _Run(limits, deadline)
-    space = _MaskSpace(gp, _possible_atoms(gp), run)
+    space = _MaskSpace(gp, frozenset().union(*(r.head for r in gp.rules)), run)
     found = []
     for m in _models((1 << len(space.candidates)) - 1, space.rules, run):
         if not _has_smaller_model(m, space.rules, run):

@@ -526,6 +526,9 @@ def safety_check(rule: Rule | WeakConstraint) -> list[str]:
     whose right-side variables are all safe already; the latter is closed
     under a fixpoint.
     """
+    names = rule.variables()
+    if not names:
+        return []
     safe: set[str] = set()
     for atom in rule.positive_body_atoms():
         for t in atom.terms:
@@ -547,7 +550,7 @@ def safety_check(rule: Rule | WeakConstraint) -> list[str]:
                 safe.add(b.lhs.name)
                 changed = True
 
-    return [name for name in rule.variables() if name not in safe]
+    return [name for name in names if name not in safe]
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,8 @@ class _ExternalSystem(SolverSpec):
             raise SolverNotFound(
                 f"{self.name} executable {command[0]!r} cannot be run: {exc}"
             ) from exc
+        except ValueError as exc:  # an argument no process can take, e.g. a NUL byte
+            raise AspkitError(f"cannot run {self.name}: {exc}") from exc
         encoding = locale.getpreferredencoding(False)  # what text-mode pipes decode with
         if proc.returncode not in self.ok_exit_codes:
             raise NonzeroExit(proc.returncode, proc.stderr.decode(encoding, "backslashreplace"))

@@ -6,6 +6,7 @@ callback, once. Only `nonzero_exit` carries the exit code and stderr, and
 """
 
 import queue
+import sys
 import tempfile
 import threading
 
@@ -119,3 +120,15 @@ class TestExternalOutputAsWritten:
         assert sync_output.error.kind == async_output.error.kind == "evaluation_error"
         assert "cannot write the input file" in sync_output.error.message
         assert sync_output.raw == async_output.raw == ""
+
+    def test_option_with_a_nul_byte_is_an_evaluation_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        handler = Handler(clingo_solver(sys.executable))
+        handler.add_program("a.")
+        handler.add_option("bad\x00opt")
+        sync_output, async_output = run_both(handler)
+        assert sync_output == async_output
+        assert sync_output.error.kind == "evaluation_error"
+        assert sync_output.error.message == "cannot run clingo: embedded null byte"
+        assert sync_output.raw == ""
+        assert list(tmp_path.iterdir()) == []  # the input file is removed

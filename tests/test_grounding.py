@@ -20,8 +20,8 @@ from aspkit.errors import LimitExceeded, SafetyError, SolverTimeout
 from aspkit.refeval import (
     DEFAULT_LIMITS,
     EvaluationLimits,
+    GroundProgram,
     _answer_sets_of_ground,
-    _possible_atoms,
     answer_sets,
     ground_program,
     herbrand_universe,
@@ -116,13 +116,30 @@ def _is_unsafe(text: str) -> bool:
     return False
 
 
-def relevant_instances(program, limits=DEFAULT_LIMITS):
-    """The naive instances whose positive body is derivable, as multisets."""
+def derivable_atoms(rules) -> set[Atom]:
+    """Least set closed under the heads of rules whose positive body it contains."""
+    derivable: set[Atom] = set()
+    grown = True
+    while grown:
+        grown = False
+        for r in rules:
+            if r.pos <= derivable and not r.head <= derivable:
+                derivable |= r.head
+                grown = True
+    return derivable
+
+
+def relevant_instances(program, limits=DEFAULT_LIMITS) -> GroundProgram:
+    """The naive instances whose positive body is derivable, in naive order."""
     naive = ground_program(program, limits)
-    derivable = _possible_atoms(naive)
-    rules = Counter(r for r in naive.rules if r.pos <= derivable)
-    weaks = Counter(w for w in naive.weak_constraints if w.pos <= derivable)
-    return rules, weaks
+    derivable = derivable_atoms(naive.rules)
+    return GroundProgram(
+        rules=tuple(r for r in naive.rules if r.pos <= derivable),
+        weak_constraints=tuple(w for w in naive.weak_constraints if w.pos <= derivable),
+    )
+
+
+BUNDLED = ("THREE_COL_K3", "THREE_COL_K4", "RAMSEY_N3", "RAMSEY_N9", "SUDOKU_TOY", "DLVFIT_FRAGMENT")
 
 
 class TestDifferential:
@@ -143,35 +160,41 @@ class TestDifferential:
         mismatches = []
         for seed in range(11, 16):
             for text, program in random_programs(seed, 300):
+                restricted = relevant_instances(program, self.LIMITS)
                 try:
-                    naive = ground_program(program, self.LIMITS)
-                    expected = _answer_sets_of_ground(naive, self.LIMITS)
+                    expected = _answer_sets_of_ground(restricted, self.LIMITS)
                 except LimitExceeded:
                     skipped += 1
                     continue
                 got = answer_sets(program, self.LIMITS)
-                rules, weaks = relevant_instances(program, self.LIMITS)
                 relevant = ground_program(program, self.LIMITS, relevant=True)
                 compared += 1
                 if (
                     got != expected
-                    or Counter(relevant.rules) != rules
-                    or Counter(relevant.weak_constraints) != weaks
+                    or Counter(relevant.rules) != Counter(restricted.rules)
+                    or Counter(relevant.weak_constraints) != Counter(restricted.weak_constraints)
                 ):
                     mismatches.append(text)
         assert mismatches == []
         assert compared >= 1350, (compared, skipped)
 
-    @pytest.mark.parametrize(
-        "name",
-        ["THREE_COL_K3", "THREE_COL_K4", "RAMSEY_N3", "RAMSEY_N9", "SUDOKU_TOY", "DLVFIT_FRAGMENT"],
-    )
+    @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_examples_keep_the_relevant_instances(self, name):
         program = parse_program(getattr(encodings, name))
-        rules, weaks = relevant_instances(program)
+        restricted = relevant_instances(program)
         gp = ground_program(program, relevant=True)
-        assert Counter(gp.rules) == rules
-        assert Counter(gp.weak_constraints) == weaks
+        assert Counter(gp.rules) == Counter(restricted.rules)
+        assert Counter(gp.weak_constraints) == Counter(restricted.weak_constraints)
+
+    def test_relevant_heads_are_the_derivable_atoms(self):
+        # The search takes its candidates from these heads.
+        programs = [p for seed in range(11, 16) for _, p in random_programs(seed, 300)]
+        programs += [parse_program(getattr(encodings, name)) for name in BUNDLED]
+        for program in programs:
+            naive = ground_program(program, self.LIMITS)
+            relevant = ground_program(program, self.LIMITS, relevant=True)
+            heads = {a for r in relevant.rules for a in r.head}
+            assert heads == derivable_atoms(naive.rules)
 
 
 # ---------------------------------------------------------------------------

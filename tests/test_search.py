@@ -15,7 +15,7 @@ import types
 
 import pytest
 
-from test_grounding import random_programs
+from test_grounding import derivable_atoms, random_programs
 
 from aspkit import refeval
 from aspkit.errors import LimitExceeded, SolverTimeout
@@ -52,14 +52,7 @@ def oracle_answer_sets(program) -> list[AnswerSet]:
     facts = frozenset(next(iter(r.head)) for r in gp.rules if r.is_fact)
     # Answer-set atoms are derivable ignoring negation; a rule with an
     # underivable positive body atom is satisfied by every such candidate.
-    derivable: set = set()
-    grown = True
-    while grown:
-        grown = False
-        for r in gp.rules:
-            if r.pos <= derivable and not r.head <= derivable:
-                derivable |= r.head
-                grown = True
+    derivable = derivable_atoms(gp.rules)
     rules = [r for r in gp.rules if r.pos <= derivable]
     free = sorted(derivable - facts, key=str)
 
