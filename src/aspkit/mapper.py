@@ -131,6 +131,12 @@ def record_to_fact(s: PredicateSchema, r: MappedRecord) -> Atom:
                 raise FieldKindMismatch(
                     f"{s.predicate}.{f.field_id}: expected an integer, got {value!r}"
                 )
+            try:
+                str(value)
+            except ValueError:  # more digits than str() writes
+                raise FieldKindMismatch(
+                    f"{s.predicate}.{f.field_id}: integer too long to write as a fact"
+                ) from None
             term = Integer(value)
         elif f.value_kind == "symbol":
             if not isinstance(value, str) or not SYMBOL_RE.match(value):

@@ -7,11 +7,16 @@ builtin comparisons (`=`, `!=`/`<>`, `<`, `>`, `<=`, `>=`) whose sides may be
 a term or a single binary sum `t + u`.
 
 A ground atom written with no whitespace, such as `reading(12,s1x4,"x")`, is
-read as one ATOM token, so rendered facts and solver witnesses parse in one
-regex match per atom. The parser reads the same atom, results and error
-positions as from the per-character tokens; where the atom is not read as an
-atom (a function term such as `f(a)`, which is always an error), it first
-expands the token in place into those tokens.
+read as one ATOM token, so rendered facts parse in one regex match per atom.
+The parser reads the same atom, results and error positions as from the
+per-character tokens; where the atom is not read as an atom (a function term
+such as `f(a)`, which is always an error, or an integer too long to read), it
+first expands the token in place into those tokens.
+
+A solver witness line is read by one scan, one regex match per atom, without
+the tokenizer; the output parsers build each distinct atom text once per
+output. The tokenizer reads only the lines the scan does not read whole, and
+explains the ones it rejects with a line and column.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ SYMBOL_RE = re.compile(r"(?!not\Z)[a-z][A-Za-z0-9_]*\Z")
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
+# Constant, Integer and Atom are named tuples, so the hashing and equality
+# that every set and dict of atoms runs on are done in C. Variable stays a
+# dataclass: it never equals a Constant of the same name.
 
 @dataclass(frozen=True, slots=True)
 class Variable:
@@ -39,8 +47,7 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
+class Constant(NamedTuple):
     """Symbolic constant. Quoted-string constants keep their quotes in `name`."""
 
     name: str
@@ -57,8 +64,7 @@ class Constant:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Integer:
+class Integer(NamedTuple):
     value: int
 
     def __str__(self) -> str:
@@ -79,8 +85,7 @@ class Sum:
         return f"{self.lhs} + {self.rhs}"
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     terms: tuple[Term, ...] = ()
 
@@ -217,18 +222,20 @@ def _collect_vars(terms, seen: list[str]) -> None:
 # other than `not`.
 _ARG = r'(?:"[^"\n]*"|-?[0-9]+|(?!not[,)])[a-z][A-Za-z0-9_]*)'
 
+# A whole ground atom `p(t1,...,tn)` with no whitespace and neither `not` nor
+# a variable in it: exactly the text of the fine tokens IDENT, LPAREN, terms
+# and COMMAs, RPAREN that `_expand` gives back.
+_GROUND_ATOM = rf"(?!not\()[a-z][A-Za-z0-9_]*\({_ARG}(?:,{_ARG})*\)"
+
 # One alternative per token kind, tried in order at each position: `:-`,
 # `:~` and the two-character comparisons before their one-character prefixes.
 # `\r\n`, `\r` and `\n` end a line outside quoted strings; a string may hold
 # a `\r`. Only ASCII letters and digits make words and integers; ERROR
-# catches any other character. ATOM, tried before WORD, is a whole ground
-# atom `p(t1,...,tn)` with no whitespace and neither `not` nor a variable in
-# it: exactly the text of the fine tokens IDENT, LPAREN, terms and COMMAs,
-# RPAREN that `_expand` gives back.
+# catches any other character. ATOM is tried before WORD.
 _TOKEN_RE = re.compile(
     rf"""(?P<NEWLINE>\r\n?|\n)|(?P<SKIP>[ \t]+)|(?P<COMMENT>%[^\r\n]*)
     |(?P<STRING>"[^"\n]*")|(?P<INTEGER>-?[0-9]+)
-    |(?P<ATOM>(?!not\()[a-z][A-Za-z0-9_]*\({_ARG}(?:,{_ARG})*\))
+    |(?P<ATOM>{_GROUND_ATOM})
     |(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<IMPLIES>:-)|(?P<WEAK>:~)|(?P<OP><>|<=|>=|!=|=|<|>)
     |(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACKET>\[)|(?P<RBRACKET>])|(?P<COLON>:)
@@ -238,6 +245,34 @@ _TOKEN_RE = re.compile(
 
 # The arguments of an ATOM token's text, by kind; commas and `)` are skipped.
 _ARG_RE = re.compile(r'(?P<INTEGER>-?[0-9]+)|(?P<STRING>"[^"\n]*")|(?P<IDENT>[a-z][A-Za-z0-9_]*)')
+
+# One atom of a witness line, as group 1: a whole ground atom, or a symbol
+# other than `not`. Every atom after the first needs its separator in front
+# of it: whitespace for clingo, a comma inside optional whitespace for DLV
+# (``_NEXT_WITNESS_ATOM[commas]``); the line may end in whitespace. So a
+# symbol read in part, or followed by `(`, leaves the line unread. `\r` and
+# `\n` count as whitespace, as they do between program tokens.
+_WITNESS_ATOM = rf"({_GROUND_ATOM}|(?!not(?![A-Za-z0-9_]))[a-z][A-Za-z0-9_]*)"
+_FIRST_WITNESS_ATOM = re.compile(rf"[ \t\r\n]*{_WITNESS_ATOM}")
+_NEXT_WITNESS_ATOM = {
+    False: re.compile(rf"[ \t\r\n]+{_WITNESS_ATOM}"),
+    True: re.compile(rf"[ \t\r\n]*,[ \t\r\n]*{_WITNESS_ATOM}"),
+}
+_WITNESS_END = re.compile(r"[ \t\r\n]*\Z")
+
+
+def _atom_of(text: str) -> Atom:
+    """The Atom of a whole ground atom's text, or of a bare symbol's.
+
+    Raises ValueError for an integer too long for ``int``.
+    """
+    paren = text.find("(")
+    if paren < 0:
+        return Atom(text)
+    return Atom(text[:paren], tuple([
+        Integer(int(i)) if i else Constant(s or w)
+        for i, s, w in _ARG_RE.findall(text, paren + 1)
+    ]))
 
 
 class _Token(NamedTuple):
@@ -418,11 +453,14 @@ class _Parser:
     def parse_atom(self) -> Atom:
         tok = self.peek()
         if tok.kind == "ATOM":
-            self.pos += 1
-            return Atom(tok.value, tuple([
-                Integer(int(i)) if i else Constant(s or w)
-                for i, s, w in _ARG_RE.findall(tok.text, len(tok.value) + 1)
-            ]))
+            try:
+                atom = _atom_of(tok.text)
+            except ValueError:
+                # An integer too long to read: the fine tokens give its position.
+                self.tokens[self.pos : self.pos + 1] = _expand(tok)
+            else:
+                self.pos += 1
+                return atom
         name = self.expect("IDENT")
         terms: list[Term] = []
         if self.peek().kind == "LPAREN":
@@ -447,8 +485,13 @@ class _Parser:
                 return self.fresh_variable()
             return Variable(tok.value)
         if tok.kind == "INTEGER":
+            try:
+                value = int(tok.value)
+            except ValueError:  # more digits than int() reads from text
+                digits = len(tok.value.lstrip("-"))
+                raise self.error(f"integer too long ({digits} digits)") from None
             self.next()
-            return Integer(int(tok.value))
+            return Integer(value)
         if tok.kind == "STRING":
             self.next()
             return Constant(tok.value)
@@ -487,13 +530,46 @@ def parse_program(text: str, check_safety: bool = True) -> Program:
     )
 
 
-def parse_witness(text: str, line: str, commas: bool) -> frozenset[Atom]:
-    """Ground atoms of one solver witness, read with the program tokenizer.
+def parse_witness(
+    text: str, line: str, commas: bool, atoms_by_text: dict[str, Atom] | None = None
+) -> frozenset[Atom]:
+    """Ground atoms of one solver witness.
 
     clingo separates the atoms by whitespace, DLV by commas (``commas``).
-    Anything else, a comment included, raises :class:`MalformedOutput`
-    quoting ``line``, the output line the witness came from.
+    The witness is read by one scan, one regex match per atom. Each atom is
+    looked up by its text in ``atoms_by_text``, which the output parsers
+    share across the witnesses of one output, so an atom that recurs is built
+    once. A witness the scan does not read whole goes to the program
+    tokenizer, which reads what the scan leaves out (such as whitespace
+    inside an atom) and otherwise raises :class:`MalformedOutput` quoting
+    ``line``, the output line the witness came from, with the position of
+    the fault. A comment is malformed.
     """
+    if atoms_by_text is None:
+        atoms_by_text = {}
+    atoms: list[Atom] = []
+    next_atom = _NEXT_WITNESS_ATOM[commas]
+    end = 0
+    m = _FIRST_WITNESS_ATOM.match(text)
+    while m is not None:
+        source = m[1]
+        atom = atoms_by_text.get(source)
+        if atom is None:
+            try:
+                atom = _atom_of(source)
+            except ValueError:  # an integer too long to read: the tokenizer places it
+                break
+            atoms_by_text[source] = atom
+        atoms.append(atom)
+        end = m.end()
+        m = next_atom.match(text, end)
+    if m is None and _WITNESS_END.match(text, end):
+        return frozenset(atoms)
+    return _parse_witness_tokens(text, line, commas)
+
+
+def _parse_witness_tokens(text: str, line: str, commas: bool) -> frozenset[Atom]:
+    """``parse_witness`` on the program tokenizer: the reference for the scan."""
     atoms: list[Atom] = []
     try:
         parser = _Parser(_tokenize(text, comments=False))

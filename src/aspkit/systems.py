@@ -7,7 +7,10 @@ file. The built-in reference evaluator runs in process and renders its
 results in the clingo textual style, so the clingo parser path is exercised
 with no binary installed. `aspkit solve` reaches every system through these
 objects, via `Handler`. Witness atoms of both output formats are read by
-`syntax.parse_witness`, on the same tokenizer as programs.
+`syntax.parse_witness`, one scan per line; each parser shares one table of
+atoms by text across the witnesses of an output, so a recurring atom is built
+once. Lines the scan cannot read go to the program tokenizer, which places
+the fault.
 """
 
 from __future__ import annotations
@@ -270,6 +273,7 @@ def parse_clingo_output(text: str) -> AnswerSets:
     sets: list[AnswerSet] = []
     satisfiable = "unknown"
     optimum_found = False
+    atoms_by_text: dict = {}
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -281,7 +285,8 @@ def parse_clingo_output(text: str) -> AnswerSets:
             if i + 1 == len(lines):
                 raise MalformedOutput(line, "answer without a witness line")
             witness = lines[i + 1]
-            sets.append(AnswerSet(atoms=parse_witness(witness, witness, commas=False), cost={}))
+            atoms = parse_witness(witness, witness, False, atoms_by_text)
+            sets.append(AnswerSet(atoms=atoms, cost={}))
             i += 2
             continue
         if stripped.startswith("Optimization:"):
@@ -290,10 +295,12 @@ def parse_clingo_output(text: str) -> AnswerSets:
             values = stripped[len("Optimization:"):].split()
             if not values or not all(v.isascii() and v.isdigit() for v in values):
                 raise MalformedOutput(line, "expected non-negative cost values")
-            n = len(values)
-            cost = {
-                n - 1 - idx: int(v) for idx, v in enumerate(values) if int(v) != 0
-            }
+            try:
+                totals = [int(v) for v in values]
+            except ValueError:  # more digits than int() reads from text
+                raise MalformedOutput(line, "cost value too long") from None
+            n = len(totals)
+            cost = {n - 1 - idx: v for idx, v in enumerate(totals) if v != 0}
             sets[-1] = AnswerSet(atoms=sets[-1].atoms, cost=cost)
         elif stripped == "SATISFIABLE":
             satisfiable = "sat"
@@ -323,6 +330,7 @@ def parse_dlv_output(text: str) -> AnswerSets:
     sets: list[AnswerSet] = []
     satisfiable = "unknown"
     optimum_found = False
+    atoms_by_text: dict = {}
     for line in _output_lines(text):
         stripped = line.strip()
         body = stripped
@@ -332,7 +340,8 @@ def parse_dlv_output(text: str) -> AnswerSets:
         if body.startswith("{"):
             if not body.endswith("}"):
                 raise MalformedOutput(line, "unterminated model line")
-            sets.append(AnswerSet(atoms=parse_witness(body[1:-1], line, commas=True), cost={}))
+            atoms = parse_witness(body[1:-1], line, True, atoms_by_text)
+            sets.append(AnswerSet(atoms=atoms, cost={}))
             satisfiable = "sat"
             continue
         cost_match = _DLV_COST_RE.search(stripped)
@@ -344,7 +353,10 @@ def parse_dlv_output(text: str) -> AnswerSets:
                 pair_match = _DLV_PAIR_RE.fullmatch(pair)
                 if not pair_match:
                     raise MalformedOutput(line, "expected [weight:level] pairs")
-                weight, level = int(pair_match[1]), int(pair_match[2])
+                try:
+                    weight, level = int(pair_match[1]), int(pair_match[2])
+                except ValueError:  # more digits than int() reads from text
+                    raise MalformedOutput(line, "cost value too long") from None
                 if weight != 0:
                     cost[level] = cost.get(level, 0) + weight
             sets[-1] = AnswerSet(atoms=sets[-1].atoms, cost=cost)

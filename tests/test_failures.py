@@ -73,7 +73,28 @@ def test_each_failure_kind_in_both_modes(tmp_path, kind):
     assert sync_output.raw == ("Answer: one\n" if kind == "malformed_output" else "")
 
 
+LONG = "1" * 5000  # more digits than int() reads from text by default
+
+
+def test_integer_too_long_in_a_program_is_an_evaluation_error():
+    handler = Handler(reference_solver())
+    handler.add_program(f"p({LONG}).")
+    sync_output, async_output = run_both(handler)
+    assert sync_output == async_output
+    assert sync_output.error.kind == "evaluation_error"
+    assert sync_output.error.message == "1:3: integer too long (5000 digits)"
+
+
 class TestExternalOutputAsWritten:
+    def test_integer_too_long_in_a_witness_is_malformed(self, tmp_path):
+        script = make_script(tmp_path, "long", f"printf 'Answer: 1\\nq p({LONG})\\n'\nexit 10\n")
+        handler = Handler(clingo_solver(script))
+        handler.add_program("a.")
+        sync_output, async_output = run_both(handler)
+        assert sync_output == async_output
+        assert sync_output.error.kind == "malformed_output"
+        assert sync_output.error.message.endswith("(1:5: integer too long (5000 digits))")
+
     def test_carriage_return_in_a_witness_string(self, tmp_path):
         script = make_script(
             tmp_path, "crsolver", "printf 'Answer: 1\\np(\"a\\rb\")\\nSATISFIABLE\\n'\nexit 10\n"

@@ -123,6 +123,12 @@ class TestAssembly:
         with pytest.raises(MappingError):
             handler.assemble_input()
 
+    def test_integer_too_long_to_write_raises_mapping_error(self):
+        handler = Handler(reference_solver())
+        handler.add_program(InputProgram().add_records([record(CELL, row=1, column=2, value=10**5000)]))
+        with pytest.raises(MappingError, match="cell.value: integer too long to write as a fact"):
+            handler.start_sync()
+
     def test_keyword_symbol_raises_mapping_error_before_solving(self):
         colored = schema("color", node=(1, "integer"), color=(2, "symbol"))
         handler = Handler(reference_solver())

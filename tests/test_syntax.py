@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -523,3 +525,99 @@ def test_whole_atom_tokens_read_like_their_expansion(text):
     with mock.patch.object(syntax, "_tokenize", _fine_tokenize):
         fine = _readings(text)
     assert whole == fine
+
+
+# --- the witness scan: the tokenizer loop is its reference ---
+
+_WITNESS_ATOMS = [
+    "p", "q1", "nota", "not_x", "p(a)", "p(a,1)", "p(-7,007)", 'p("a b")', 'q("x,y",2)',
+    'r("a, b",c)', 'p("\r")', 'p("a\rb")', 'p("50%")', 'p("é")', 'p("\x0b")', "p(a1b)",
+    "not", "not(a)", "p(not)", "p(nota)", "X", "p(X)", "_", "p(_)", "p(a,Y)", "f(g(a))",
+    "p()", "p( a)", "p(a )", "p (a)", "-p", "1", '"s"', "p(a)(b)", "é", "pé", "%", "% c",
+    "\x0b", "p(" + "9" * 4400 + ")",
+]
+_WITNESS_SEPARATORS = [
+    " ", " ", "  ", "\t", "\r", "\r\n", "\n", ",", ",", ", ", " ,", " , ", ",,", ", ,", "",
+    "\x0b", "%", ";",
+]
+
+
+def _random_witness(rng):
+    text = rng.choice(["", "", " ", "\t", ",", "\r\n"])
+    for index in range(rng.randrange(5)):
+        if index:
+            text += rng.choice(_WITNESS_SEPARATORS)
+        text += rng.choice(_WITNESS_ATOMS)
+    return text + rng.choice(["", "", " ", ",", "\r", "\r\n", " %"])
+
+
+@pytest.mark.parametrize("commas", [False, True])
+def test_witness_scan_reads_like_the_tokenizer_loop(commas):
+    rng = random.Random(14 + commas)
+    read = failed = 0
+    for _ in range(20_000):
+        text = _random_witness(rng)
+        scanned = _outcome(lambda: parse_witness(text, text, commas))
+        expected = _outcome(lambda: syntax._parse_witness_tokens(text, text, commas))
+        assert scanned == expected, text
+        read += scanned[0] == "ok"
+        failed += scanned[0] != "ok"
+    assert read > 2_000 and failed > 2_000
+
+
+def test_witness_scan_peak_memory_stays_near_its_result():
+    line = " ".join(f'reading({i},s{i % 40}x4,"v{i}",{i * 7})' for i in range(2_500))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        atoms = parse_witness(line, line, commas=False)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(atoms) == 2_500
+    assert peak <= 2 * retained, (peak, retained)
+
+
+def test_long_integers_are_parse_errors_at_their_position():
+    digits = "1" * 5_000
+    for text, column in ((f"p({digits}).", 3), (f"p(a, -{digits}).", 6), (f":~ p. [{digits}:0]", 8)):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.message == "integer too long (5000 digits)"
+    with pytest.raises(MalformedOutput) as err:
+        parse_witness(f"q p({digits})", "line", commas=False)
+    assert str(err.value).endswith("(1:5: integer too long (5000 digits))")
+
+
+# --- atoms and constants are tuples ---
+
+
+def test_terms_of_different_kinds_are_never_equal():
+    assert Variable("a") != Constant("a") and Constant("a") != Variable("a")
+    assert Integer(1) != Constant("1")
+    assert len({Variable("a"), Constant("a"), Integer(1), Constant("1")}) == 4
+
+
+def test_every_reader_builds_the_same_atom():
+    from aspkit.mapper import record, record_to_fact, schema
+    from aspkit.refeval import ground_program
+
+    p = schema("p", sym=(1, "symbol"), num=(2, "integer"), text=(3, "quoted_string"))
+    built = [
+        parse_program('p(a,1,"x").').rules[0].head[0],
+        next(iter(parse_witness('p(a,1,"x")', "line", commas=False))),
+        next(iter(parse_witness('p(a, 1, "x")', "line", commas=True))),
+        record_to_fact(p, record(p, sym="a", num=1, text="x")),
+        next(iter(ground_program(parse_program('p(a,1,"x").')).rules[0].head)),
+    ]
+    expected = Atom("p", (Constant("a"), Integer(1), Constant('"x"')))
+    for atom in built:
+        assert atom == expected and hash(atom) == hash(expected)
+        assert [type(t) for t in atom.terms] == [Constant, Integer, Constant]
+
+
+def test_atom_repr_and_text():
+    atom = Atom("p", (Constant("a"), Integer(1)))
+    assert repr(atom) == "Atom(predicate='p', terms=(Constant(name='a'), Integer(value=1)))"
+    assert (str(atom), str(Atom("q")), atom.arity, atom.signature) == ("p(a,1)", "q", 2, ("p", 2))

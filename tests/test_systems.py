@@ -197,6 +197,19 @@ class TestClingoOutputParsing:
         with pytest.raises(MalformedOutput):
             parse_clingo_output("Answer: 1\na\nUNSATISFIABLE")
 
+    def test_cost_value_too_long_to_read(self):
+        with pytest.raises(MalformedOutput) as err:
+            parse_clingo_output(f"Answer: 1\na\nOptimization: 0 {'7' * 5000}\nSATISFIABLE")
+        assert str(err.value).endswith("(cost value too long)")
+
+    def test_an_atom_in_two_answer_sets_is_one_object(self):
+        parsed = parse_clingo_output(
+            'Answer: 1\np(a,1,"x") q\nAnswer: 2\nr p(a,1,"x")\nAnswer: 3\nq\nSATISFIABLE\n'
+        )
+        first, second, third = ({str(a): a for a in s.atoms} for s in parsed.sets)
+        assert first['p(a,1,"x")'] is second['p(a,1,"x")']
+        assert first["q"] is third["q"]
+
     @pytest.mark.parametrize(
         "witness", ["p(a)q(b)", "p(a), q(b)", "p(X)", "p(_)", "a % b", "a.%q(1)", "p(a) :- q"]
     )
@@ -235,6 +248,16 @@ class TestDlvOutputParsing:
     def test_cost_that_is_not_weight_level_pairs(self, body):
         with pytest.raises(MalformedOutput):
             parse_dlv_output(f"{{a}}\nCost ([Weight:Level]): <{body}>")
+
+    def test_cost_value_too_long_to_read(self):
+        with pytest.raises(MalformedOutput) as err:
+            parse_dlv_output(f"{{a}}\nCost ([Weight:Level]): <[{'7' * 5000}:1]>")
+        assert str(err.value).endswith("(cost value too long)")
+
+    def test_an_atom_in_two_models_is_one_object(self):
+        parsed = parse_dlv_output('{p(a,1,"x"), q}\n{r,p(a,1,"x")}\n')
+        first, second = ({str(a): a for a in s.atoms} for s in parsed.sets)
+        assert first['p(a,1,"x")'] is second['p(a,1,"x")']
 
     def test_parentheses_and_commas_inside_quotes(self):
         parsed = parse_dlv_output('{p("a)"), q(1), r("x,(y", 2)}')
