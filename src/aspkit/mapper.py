@@ -222,12 +222,16 @@ def load_schema_manifest(source: str | Path) -> SchemaRegistry:
         if not (arity_text.isascii() and arity_text.isdigit()):
             raise InvalidSchema(f"bad schema header {head!r}")
         fields = []
-        for spec in field_specs:
-            parts = spec.split(":")
-            if len(parts) != 3 or not (parts[1].isascii() and parts[1].isdigit()):
-                raise InvalidSchema(f"bad field spec {spec!r}")
-            fields.append(SchemaField(parts[0], int(parts[1]), parts[2]))
-        if len(fields) != int(arity_text):
+        try:
+            for spec in field_specs:
+                parts = spec.split(":")
+                if len(parts) != 3 or not (parts[1].isascii() and parts[1].isdigit()):
+                    raise InvalidSchema(f"bad field spec {spec!r}")
+                fields.append(SchemaField(parts[0], int(parts[1]), parts[2]))
+            arity = int(arity_text)
+        except ValueError:  # more digits than int() reads from text
+            raise InvalidSchema(f"number too long in schema {name!r}") from None
+        if len(fields) != arity:
             raise InvalidSchema(f"{head}: {len(fields)} field specs for arity {arity_text}")
         registry.register(PredicateSchema(name, tuple(fields)))
     return registry

@@ -111,7 +111,10 @@ class ReferenceSystem(SolverSpec):
             for arg in opt.as_args():
                 if not (arg.isascii() and arg.isdigit()):
                     raise UnsupportedOption(self.name, opt.option_text)
-                cap = int(arg)
+                try:
+                    cap = int(arg)
+                except ValueError:  # more digits than int() reads from text
+                    raise UnsupportedOption(self.name, opt.option_text) from None
         return cap
 
     def parse_output(self, raw: str) -> AnswerSets:

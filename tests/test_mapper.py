@@ -119,6 +119,10 @@ class TestRecordToFact:
         with pytest.raises(FieldKindMismatch):
             record_to_fact(CELL, record(CELL, row=1, column=2))
 
+    def test_integer_too_long_to_write(self):
+        with pytest.raises(FieldKindMismatch, match="cell.value: integer too long to write"):
+            record_to_fact(CELL, record(CELL, row=1, column=2, value=-(10**5000)))
+
 
 class TestFactToRecord:
     def test_cell_round_trip(self):
@@ -216,6 +220,11 @@ class TestManifest:
         for line in (f"cell/1 {spec}\n" for spec in specs):
             with pytest.raises(InvalidSchema):
                 load_schema_manifest(line)
+
+    @pytest.mark.parametrize("line", ["cell/1 row:" + "1" * 5000 + ":integer", "cell/" + "1" * 5000])
+    def test_number_too_long_to_read(self, line):
+        with pytest.raises(InvalidSchema, match="number too long in schema 'cell'"):
+            load_schema_manifest(line)
 
     @pytest.mark.parametrize("arity", ["\u00b2", "\u0661"])
     def test_arity_is_ascii_digits(self, arity):

@@ -166,7 +166,12 @@ class TestStartSync:
         assert output.error.kind == "evaluation_error"
 
     @pytest.mark.parametrize(
-        "option", [OptionDescriptor("-n=1"), OptionDescriptor("--stats level", " ")]
+        "option",
+        [
+            OptionDescriptor("-n=1"),
+            OptionDescriptor("--stats level", " "),
+            OptionDescriptor("1" * 5000),  # more digits than int() reads from text
+        ],
     )
     def test_reference_refuses_options_it_cannot_read(self, option):
         handler = Handler(reference_solver())

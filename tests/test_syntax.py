@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from aspkit import syntax
 from aspkit.errors import MalformedOutput, ParseError, SafetyError
+from aspkit.mapper import record, record_to_fact, schema
+from aspkit.refeval import ground_program
 from aspkit.syntax import (
     SYMBOL_RE,
     Atom,
@@ -600,9 +602,6 @@ def test_terms_of_different_kinds_are_never_equal():
 
 
 def test_every_reader_builds_the_same_atom():
-    from aspkit.mapper import record, record_to_fact, schema
-    from aspkit.refeval import ground_program
-
     p = schema("p", sym=(1, "symbol"), num=(2, "integer"), text=(3, "quoted_string"))
     built = [
         parse_program('p(a,1,"x").').rules[0].head[0],
