@@ -104,7 +104,7 @@ class Atom(NamedTuple):
     def __str__(self) -> str:
         if not self.terms:
             return self.predicate
-        return f"{self.predicate}({','.join(str(t) for t in self.terms)})"
+        return f"{self.predicate}({','.join([str(t) for t in self.terms])})"
 
 
 @dataclass(frozen=True, slots=True)
