@@ -99,18 +99,15 @@ class TestSolve:
         assert code == 0
         assert out == "{p(1), q(1)}\n"
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("p(.\n", "expected a term, found '.'"),
-            # more digits than int() reads from text by default
-            (f"p({'1' * 5000}).\n", "integer too long (5000 digits)"),
-        ],
-    )
-    def test_parse_error_exits_one(self, tmp_path, text, message):
+    def test_parse_error_exits_one(self, tmp_path):
         bad = tmp_path / "bad.lp"
-        bad.write_text(text)
-        assert run_cli("solve", str(bad)) == (1, "", f"error: 1:3: {message}\n")
+        bad.write_text("p(.\n")
+        assert run_cli("solve", str(bad)) == (1, "", "error: 1:3: expected a term, found '.'\n")
+
+    def test_integer_too_long_exits_one(self, tmp_path):
+        bad = tmp_path / "long.lp"
+        bad.write_text(f"p({'1' * 5000}).\n")  # more digits than int() reads from text
+        assert run_cli("solve", str(bad)) == (1, "", "error: 1:3: integer too long (5000 digits)\n")
 
     def test_unsafe_program_exits_one(self, tmp_path):
         bad = tmp_path / "unsafe.lp"
