@@ -209,19 +209,23 @@ _FAILURE_KINDS = {
 
 
 def _assemble(parts) -> str:
-    """Concatenate parts in order; mapped records become one fact per line."""
+    """Concatenate parts in order, each ending at a line end, so that no comment
+    or statement runs into the next part; mapped records become one fact per line."""
     chunks: list[str] = []
     for part in parts:
         if isinstance(part, str):
-            chunks.append(part)
+            text = part
         elif isinstance(part, tuple):
             try:
-                chunks.extend(f"{record_to_fact(r.schema, r)}.\n" for r in part)
+                text = "".join([f"{record_to_fact(r.schema, r)}.\n" for r in part])
             except AspkitError as exc:
                 raise MappingError(str(exc)) from exc
         else:
             try:
-                chunks.append(read_program_file(part))
+                text = read_program_file(part)
             except OSError as exc:
                 raise FileReadError(f"cannot read {part}: {exc}") from exc
+        chunks.append(text)
+        if text and not text.endswith(("\n", "\r")):
+            chunks.append("\n")
     return "".join(chunks)

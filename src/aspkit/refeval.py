@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import LimitExceeded, SolverTimeout
 from .syntax import (
-    Atom, Builtin, Constant, Integer, Program, Sum, Term, Variable, classify_predicates,
+    Atom, Builtin, Integer, Program, Sum, Term, Variable, classify_predicates, operand_terms,
     render_rule, render_weak,
 )
 
@@ -156,35 +157,25 @@ def render_interpretation(atoms) -> str:
 # Herbrand universe and base
 # ---------------------------------------------------------------------------
 
-def _operand_constants(operand: Term | Sum) -> list[Term]:
-    terms = (operand.lhs, operand.rhs) if isinstance(operand, Sum) else (operand,)
-    return [t for t in terms if isinstance(t, (Constant, Integer))]
-
-
 def herbrand_universe(program: Program) -> frozenset[Term]:
     """All constants appearing in the program.
 
     Integers produced by evaluating `+` do not extend the universe; only
     constants written in the program text count.
     """
-    out: set[Term] = set()
-
-    def from_body(body) -> None:
-        for elem in body:
-            if isinstance(elem, Builtin):
-                out.update(_operand_constants(elem.lhs))
-                out.update(_operand_constants(elem.rhs))
-            else:
-                out.update(t for t in elem.atom.terms if isinstance(t, (Constant, Integer)))
-
+    terms: set[Term] = set()
     for rule in program.rules:
         for atom in rule.head:
-            out.update(t for t in atom.terms if isinstance(t, (Constant, Integer)))
-        from_body(rule.body)
+            terms.update(atom.terms)
+    for stmt in (*program.rules, *program.weak_constraints):
+        for elem in stmt.body:
+            if isinstance(elem, Builtin):
+                terms.update(operand_terms(elem.lhs) + operand_terms(elem.rhs))
+            else:
+                terms.update(elem.atom.terms)
     for weak in program.weak_constraints:
-        from_body(weak.body)
-        out.update(t for t in (weak.weight, weak.level) if isinstance(t, (Constant, Integer)))
-    return frozenset(out)
+        terms.update((weak.weight, weak.level))
+    return frozenset(t for t in terms if not isinstance(t, Variable))
 
 
 def herbrand_base(program: Program, limits: EvaluationLimits = DEFAULT_LIMITS) -> frozenset[Atom]:
@@ -216,29 +207,30 @@ def _ground_value(term: Term, sub: dict[str, Term]) -> Term:
     return sub[term.name] if isinstance(term, Variable) else term
 
 
-def _operand_value(operand: Term | Sum, sub: dict[str, Term]):
-    """('int', n) or ('sym', name), or None if the operand has no value.
+def _operand_value(operand: Term | Sum, sub: dict[str, Term]) -> Term | None:
+    """The ground term of an operand, or None for a sum that has no value.
 
-    A sum only has a value when both sides are integers.
+    A sum only has a value, an ``Integer``, when both sides are integers.
     """
     if isinstance(operand, Sum):
         lhs = _ground_value(operand.lhs, sub)
         rhs = _ground_value(operand.rhs, sub)
         if isinstance(lhs, Integer) and isinstance(rhs, Integer):
-            return ("int", lhs.value + rhs.value)
+            return Integer(lhs.value + rhs.value)
         return None
-    value = _ground_value(operand, sub)
-    if isinstance(value, Integer):
-        return ("int", value.value)
-    return ("sym", value.name)
+    return _ground_value(operand, sub)
+
+
+_ORDER = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
 
 def eval_builtin(builtin: Builtin, sub: dict[str, Term]) -> bool:
     """Truth of a builtin under a grounding substitution.
 
-    `=`/`!=` compare values structurally; the order comparisons are only
-    defined between integers and are false otherwise, as is any comparison
-    against a sum that does not evaluate to an integer.
+    `=`/`!=` compare ground terms, so `1`, `"1"` and a symbol are all
+    different; the order comparisons are only defined between integers and
+    are false otherwise, as is any comparison against a sum that does not
+    evaluate to an integer.
     """
     lhs = _operand_value(builtin.lhs, sub)
     rhs = _operand_value(builtin.rhs, sub)
@@ -248,20 +240,15 @@ def eval_builtin(builtin: Builtin, sub: dict[str, Term]) -> bool:
         return lhs == rhs
     if builtin.op == "!=":
         return lhs != rhs
-    if lhs[0] != "int" or rhs[0] != "int":
+    if not (isinstance(lhs, Integer) and isinstance(rhs, Integer)):
         return False
-    a, b = lhs[1], rhs[1]
-    return {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b}[builtin.op]
+    return _ORDER[builtin.op](lhs.value, rhs.value)
 
 
 def _instantiate(atom: Atom, sub: dict[str, Term], cache: dict) -> Atom:
-    terms = tuple(_ground_value(t, sub) for t in atom.terms)
-    key = (atom.predicate, terms)
-    got = cache.get(key)
-    if got is None:
-        got = Atom(atom.predicate, terms)
-        cache[key] = got
-    return got
+    """The ground instance of ``atom``, one object per distinct atom in ``cache``."""
+    atom = Atom(atom.predicate, tuple(_ground_value(t, sub) for t in atom.terms))
+    return cache.setdefault(atom, atom)
 
 
 def ground_program(
@@ -432,8 +419,7 @@ class _AtomIndex:
 
 
 def _operand_vars(operand: Term | Sum) -> set[str]:
-    terms = (operand.lhs, operand.rhs) if isinstance(operand, Sum) else (operand,)
-    return {t.name for t in terms if isinstance(t, Variable)}
+    return {t.name for t in operand_terms(operand) if isinstance(t, Variable)}
 
 
 def _join_plan(stmt, sources: list[int]) -> list[tuple]:
@@ -514,7 +500,7 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
     in the last round, so each instance is produced exactly once. Constraints
     and weak constraints are joined once against the final derivable set.
     """
-    by_value = {_operand_value(t, {}): t for t in universe}
+    in_universe = frozenset(universe)
     derivable = _AtomIndex()
     delta_by_sig: dict[tuple[str, int], list[Atom]] = {}
     delta: set[Atom] = set()
@@ -557,8 +543,8 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
                 yield from join(steps, k + 1, sub)
         elif kind == "assign":
             _, name, operand = step
-            term = by_value.get(_operand_value(operand, sub))
-            if term is not None:
+            term = _operand_value(operand, sub)
+            if term in in_universe:
                 sub[name] = term
                 yield from join(steps, k + 1, sub)
                 del sub[name]

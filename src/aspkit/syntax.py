@@ -13,6 +13,9 @@ per-character tokens; where the atom is not read as an atom (a function term
 such as `f(a)`, which is always an error, or an integer too long to read), it
 first expands the token in place into those tokens.
 
+Each term lexeme (symbol, integer, string) is defined once; every pattern
+that reads terms, in programs and in solver witnesses, is built from them.
+
 A solver witness line is read by one scan, one regex match per atom, without
 the tokenizer; the output parsers build each distinct atom text once per
 output. The tokenizer reads only the lines the scan does not read whole, and
@@ -27,9 +30,14 @@ from typing import NamedTuple
 
 from .errors import FileReadError, MalformedOutput, ParseError, SafetyError
 
-# A whole string that the tokenizer reads as one identifier: the keyword `not`
-# and trailing newlines are not symbols.
-SYMBOL_RE = re.compile(r"(?!not\Z)[a-z][A-Za-z0-9_]*\Z")
+# The lexemes of a term, each defined once. A symbol is a lowercase word other
+# than the keyword `not`, whatever follows the word.
+_SYMBOL = r"(?!not(?![A-Za-z0-9_]))[a-z][A-Za-z0-9_]*"
+_INTEGER = r"-?[0-9]+"
+_STRING = r'"[^"\n]*"'
+
+# A whole string that the tokenizer reads as one identifier.
+SYMBOL_RE = re.compile(rf"{_SYMBOL}\Z")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +156,7 @@ class _Statement:
             if isinstance(elem, Literal):
                 _collect_vars(elem.atom.terms, seen)
             else:
-                _collect_vars(_operand_terms(elem.lhs) + _operand_terms(elem.rhs), seen)
+                _collect_vars(operand_terms(elem.lhs) + operand_terms(elem.rhs), seen)
         return seen
 
     def __str__(self) -> str:
@@ -202,7 +210,8 @@ class Program:
         return render(self)
 
 
-def _operand_terms(operand: Term | Sum) -> tuple[Term, ...]:
+def operand_terms(operand: Term | Sum) -> tuple[Term, ...]:
+    """The terms of a builtin operand: both sides of a sum, or the term itself."""
     if isinstance(operand, Sum):
         return (operand.lhs, operand.rhs)
     return (operand,)
@@ -218,14 +227,13 @@ def _collect_vars(terms, seen: list[str]) -> None:
 # Lexer
 # ---------------------------------------------------------------------------
 
-# One argument of a whole atom: a string, an integer, or a lowercase symbol
-# other than `not`.
-_ARG = r'(?:"[^"\n]*"|-?[0-9]+|(?!not[,)])[a-z][A-Za-z0-9_]*)'
+# One argument of a whole atom: a string, an integer or a symbol.
+_ARG = rf"(?:{_STRING}|{_INTEGER}|{_SYMBOL})"
 
 # A whole ground atom `p(t1,...,tn)` with no whitespace and neither `not` nor
 # a variable in it: exactly the text of the fine tokens IDENT, LPAREN, terms
 # and COMMAs, RPAREN that `_expand` gives back.
-_GROUND_ATOM = rf"(?!not\()[a-z][A-Za-z0-9_]*\({_ARG}(?:,{_ARG})*\)"
+_GROUND_ATOM = rf"{_SYMBOL}\({_ARG}(?:,{_ARG})*\)"
 
 # One alternative per token kind, tried in order at each position: `:-`,
 # `:~` and the two-character comparisons before their one-character prefixes.
@@ -234,7 +242,7 @@ _GROUND_ATOM = rf"(?!not\()[a-z][A-Za-z0-9_]*\({_ARG}(?:,{_ARG})*\)"
 # catches any other character. ATOM is tried before WORD.
 _TOKEN_RE = re.compile(
     rf"""(?P<NEWLINE>\r\n?|\n)|(?P<SKIP>[ \t]+)|(?P<COMMENT>%[^\r\n]*)
-    |(?P<STRING>"[^"\n]*")|(?P<INTEGER>-?[0-9]+)
+    |(?P<STRING>{_STRING})|(?P<INTEGER>{_INTEGER})
     |(?P<ATOM>{_GROUND_ATOM})
     |(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<IMPLIES>:-)|(?P<WEAK>:~)|(?P<OP><>|<=|>=|!=|=|<|>)
@@ -244,15 +252,15 @@ _TOKEN_RE = re.compile(
 )
 
 # The arguments of an ATOM token's text, by kind; commas and `)` are skipped.
-_ARG_RE = re.compile(r'(?P<INTEGER>-?[0-9]+)|(?P<STRING>"[^"\n]*")|(?P<IDENT>[a-z][A-Za-z0-9_]*)')
+_ARG_RE = re.compile(rf"(?P<INTEGER>{_INTEGER})|(?P<STRING>{_STRING})|(?P<IDENT>{_SYMBOL})")
 
-# One atom of a witness line, as group 1: a whole ground atom, or a symbol
-# other than `not`. Every atom after the first needs its separator in front
-# of it: whitespace for clingo, a comma inside optional whitespace for DLV
+# One atom of a witness line, as group 1: a whole ground atom or a symbol.
+# Every atom after the first needs its separator in front of it: whitespace
+# for clingo, a comma inside optional whitespace for DLV
 # (``_NEXT_WITNESS_ATOM[commas]``); the line may end in whitespace. So a
 # symbol read in part, or followed by `(`, leaves the line unread. `\r` and
 # `\n` count as whitespace, as they do between program tokens.
-_WITNESS_ATOM = rf"({_GROUND_ATOM}|(?!not(?![A-Za-z0-9_]))[a-z][A-Za-z0-9_]*)"
+_WITNESS_ATOM = rf"({_GROUND_ATOM}|{_SYMBOL})"
 _FIRST_WITNESS_ATOM = re.compile(rf"[ \t\r\n]*{_WITNESS_ATOM}")
 _NEXT_WITNESS_ATOM = {
     False: re.compile(rf"[ \t\r\n]+{_WITNESS_ATOM}"),
@@ -621,7 +629,7 @@ def safety_check(rule: Rule | WeakConstraint) -> list[str]:
         for b in assignments:
             if b.lhs.name in safe:
                 continue
-            rhs_vars = {t.name for t in _operand_terms(b.rhs) if isinstance(t, Variable)}
+            rhs_vars = {t.name for t in operand_terms(b.rhs) if isinstance(t, Variable)}
             if rhs_vars <= safe:
                 safe.add(b.lhs.name)
                 changed = True

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import locale
 import shutil
+import stat
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,14 @@ needs_utf8 = pytest.mark.skipif(
 
 def external_clingo() -> str | None:
     return shutil.which("clingo")
+
+
+def make_script(tmp_path, name: str, body: str) -> str:
+    """An executable shell script ``name`` in ``tmp_path`` that runs ``body``."""
+    path = tmp_path / name
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    return str(path)
 
 
 @pytest.fixture(scope="session")

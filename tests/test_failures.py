@@ -12,8 +12,7 @@ import threading
 
 import pytest
 
-from conftest import needs_utf8
-from test_orchestration import make_script
+from conftest import make_script, needs_utf8
 
 from aspkit.orchestration import Handler, Output
 from aspkit.systems import clingo_solver, reference_solver

@@ -254,6 +254,27 @@ class TestRelevanceSemantics:
             assert caught.value.what == "grounding substitutions"
             assert caught.value.count == 40 + 40**5
 
+    @pytest.mark.parametrize("relevant", [False, True])
+    def test_builtins_tell_integers_strings_and_symbols_apart(self, relevant):
+        # `1`, `"1"`, `a` and `"a"` are four different terms; `2` and `5` are
+        # in the universe, so `X + 1` can bind `Y` and `X + 5` cannot.
+        program = parse_program(
+            'p(1). p("1"). p(a). p("a").\n'
+            "eq(X) :- p(X), X = 1.\n"
+            "ne(X) :- p(X), X != 1.\n"
+            "lt(X) :- p(X), X < 2.\n"
+            "s(Y) :- p(X), Y = X + 1.\n"
+            "t(Y) :- p(X), Y = X + 5.\n"
+            "same(X) :- p(X), p(Y), X = Y, Y != a.\n"
+        )
+        gp = ground_program(program, relevant=relevant)
+        [only] = _answer_sets_of_ground(gp, DEFAULT_LIMITS)
+        derived = sorted(str(a) for a in only.atoms if a.predicate != "p")
+        assert derived == [
+            "eq(1)", "lt(1)", 'ne("1")', 'ne("a")', "ne(a)", "s(2)",
+            'same("1")', 'same("a")', "same(1)",
+        ]
+
     def test_rule_limit_counts_kept_instances(self):
         # 9 naive instances of the rule, only 1 with a derivable body
         program = parse_program("p(1). e(1,2). e(2,3). q(X,Y) :- p(X), e(X,Y).")

@@ -5,19 +5,15 @@ import threading
 
 import pytest
 
+from conftest import make_script
+
+from aspkit import cli
 from aspkit.errors import FileReadError, MappingError
 from aspkit.mapper import SchemaRegistry, record, schema
 from aspkit.orchestration import Handler, InputProgram, OptionDescriptor, Output
 from aspkit.systems import clingo_solver, reference_solver
 
 CELL = schema("cell", row=(1, "integer"), column=(2, "integer"), value=(3, "integer"))
-
-
-def make_script(tmp_path, name: str, body: str) -> str:
-    path = tmp_path / name
-    path.write_text("#!/bin/sh\n" + body)
-    path.chmod(path.stat().st_mode | stat.S_IEXEC)
-    return str(path)
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +102,36 @@ class TestAssembly:
         handler = Handler(reference_solver())
         handler.add_program(program)
         assert handler.assemble_input() == "a.\n"
+
+    @staticmethod
+    def solved(handler) -> list[set[str]]:
+        output = handler.start_sync()
+        assert output.ok, output.error
+        return [set(map(str, s.atoms)) for s in output.answer_sets.sets]
+
+    def test_comment_ends_with_its_text_part(self):
+        handler = Handler(reference_solver())
+        handler.add_program("a. % note")
+        handler.add_program("b.")
+        assert handler.assemble_input() == "a. % note\nb.\n"
+        assert self.solved(handler) == [{"a", "b"}]
+
+    def test_comment_ends_with_its_file_part(self, tmp_path, capsys):
+        first, second = tmp_path / "first.lp", tmp_path / "second.lp"
+        first.write_text("a. % note")
+        second.write_text("b.")
+        handler = Handler(reference_solver())
+        handler.add_program(InputProgram().add_file(first).add_file(second))
+        assert self.solved(handler) == [{"a", "b"}]
+        assert cli.main(["solve", str(first), str(second)]) == 0
+        assert capsys.readouterr().out == "{a, b}\n"
+
+    def test_parts_are_not_glued_into_one_word(self):
+        handler = Handler(reference_solver())
+        handler.add_program("a")
+        handler.add_program("b.")
+        assert handler.assemble_input() == "a\nb.\n"
+        assert handler.start_sync().error.kind == "evaluation_error"
 
     def test_missing_file(self):
         program = InputProgram()

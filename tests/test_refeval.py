@@ -14,6 +14,7 @@ from aspkit.refeval import (
     answer_sets,
     body_true,
     cost,
+    eval_builtin,
     ground_program,
     herbrand_base,
     herbrand_universe,
@@ -175,6 +176,22 @@ class TestGrounding:
         assert all(isinstance(w.weight, int) for w in gp.weak_constraints)
         [only] = answer_sets(program)
         assert only.cost == {}
+
+
+class TestBuiltins:
+    @pytest.mark.parametrize(
+        "text, holds",
+        [
+            ("1 < 2", True), ("2 < 2", False), ("2 <= 2", True), ("3 <= 2", False),
+            ("2 > 1", True), ("2 > 2", False), ("2 >= 2", True), ("1 >= 2", False),
+            ("-3 < 1", True), ("a < b", False), ('"1" < 2', False), ("a >= a", False),
+            ("1 + 1 = 2", True), ("1 + 1 != 2", False), ("a + 1 = 2", False), ("a + 1 != 2", False),
+            ("1 = 1", True), ("a = a", True), ('a = "a"', False), ('1 = "1"', False), ("1 != a", True),
+        ],
+    )
+    def test_ground_builtin(self, text, holds):
+        [builtin] = parse_program(f":- p, {text}.").rules[0].builtins()
+        assert eval_builtin(builtin, {}) is holds
 
 
 class TestBodyTruth:

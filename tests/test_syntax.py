@@ -177,13 +177,32 @@ class TestParsing:
     )
     @example("not")
     @example("nothing")
+    @example("not_")
     @example("abc\n")
+    @example("1")
+    @example('"a"')
     def test_symbol_re_matches_exactly_one_identifier_token(self, word):
         try:
             tokens = [(t.kind, t.value) for t in _tokenize(word)]
         except ParseError:
             tokens = None
-        assert bool(SYMBOL_RE.match(word)) == (tokens == [("IDENT", word), ("EOF", "")])
+        symbol = bool(SYMBOL_RE.match(word))
+        assert symbol == (tokens == [("IDENT", word), ("EOF", "")])
+        # The witness scan reads the same words as one bare atom.
+        for commas in (False, True):
+            try:
+                atoms = parse_witness(word, word, commas)
+            except MalformedOutput:
+                atoms = None
+            assert symbol == (atoms == frozenset({Atom(word)}))
+        # As an argument, the same words make `p(word)` one ATOM token;
+        # integers and strings do too, but they do not start lowercase.
+        try:
+            arg_tokens = [(t.kind, t.text) for t in _tokenize(f"p({word})")]
+        except ParseError:
+            arg_tokens = None
+        whole_atom = arg_tokens == [("ATOM", f"p({word})"), ("EOF", "")]
+        assert symbol == (whole_atom and word[:1].islower())
 
     def test_not_requires_atom(self):
         with pytest.raises(ParseError):

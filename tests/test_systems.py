@@ -1,9 +1,10 @@
-import stat
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import make_script
 
 from aspkit.errors import (
     EmptyFilter,
@@ -49,13 +50,6 @@ def answer(*texts: str, cost: dict | None = None) -> AnswerSet:
 def no_env_overrides(monkeypatch):
     monkeypatch.delenv("ASP_EMBED_CLINGO", raising=False)
     monkeypatch.delenv("ASP_EMBED_DLV", raising=False)
-
-
-def make_script(tmp_path, name: str, body: str) -> str:
-    path = tmp_path / name
-    path.write_text("#!/bin/sh\n" + body)
-    path.chmod(path.stat().st_mode | stat.S_IEXEC)
-    return str(path)
 
 
 class TestOptionBuilders:
