@@ -21,7 +21,7 @@ from .mapper import (
     record_to_fact,
     schema,
 )
-from .orchestration import Handler, InputProgram, OptionDescriptor, Output
+from .orchestration import Handler, InputProgram, Output
 from .refeval import (
     DEFAULT_LIMITS,
     AnswerSet,
@@ -61,6 +61,7 @@ from .syntax import (
 )
 from .systems import (
     AnswerSets,
+    OptionDescriptor,
     SolverSpec,
     clingo_solver,
     dlv_solver,

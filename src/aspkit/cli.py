@@ -4,7 +4,7 @@
 `orchestration.Handler`, so the command line and library callers share one
 pipeline: the solver's text output is parsed by `systems`, and a failed run
 prints `error: <message>`. Sorting, `--optimize`, `-n` and `--filter` then
-act on the parsed sets.
+act on the parsed sets. Files are joined by `orchestration.assemble`.
 
 Exit codes: 0 success (at least one answer set / verdict yes), 10 for "no
 answer set" outcomes, 1 for errors, 2 for usage problems.
@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import encodings, refeval, systems
 from .errors import AspkitError
-from .orchestration import Handler
+from .orchestration import Handler, assemble
 from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits, Verdict
 from .syntax import parse_program, read_program_file
 
@@ -26,10 +27,10 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_NO_ANSWER_SET = 10
 
-SOLVERS = {
+SOLVERS = {  # each takes the evaluation limits, which only the reference system reads
     "ref": systems.reference_solver,
-    "clingo": systems.clingo_solver,
-    "dlv": systems.dlv_solver,
+    "clingo": lambda limits: systems.clingo_solver(),
+    "dlv": lambda limits: systems.dlv_solver(),
 }
 
 
@@ -109,7 +110,7 @@ def _limits(args) -> EvaluationLimits:
 
 
 def _program_text(paths) -> str:
-    return "\n".join(map(read_program_file, paths))
+    return assemble(map(Path, paths))
 
 
 def _print_sets(sets: list[AnswerSet], args) -> None:
@@ -128,12 +129,12 @@ def _print_sets(sets: list[AnswerSet], args) -> None:
 
 
 def cmd_solve(args) -> int:
-    spec = SOLVERS[args.system]()
+    spec = SOLVERS[args.system](_limits(args))
     if args.filter is not None and not spec.accepts_filter:
         sys.stderr.write("error: --filter is only supported with --system ref or dlv\n")
         return EXIT_USAGE
 
-    handler = Handler(spec, limits=_limits(args))
+    handler = Handler(spec)
     handler.add_program(_program_text(args.paths))
     # Optimal sets can come after the first k models, so --optimize asks for all.
     handler.add_option(spec.models_option(0 if args.optimize else args.models))

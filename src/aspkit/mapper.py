@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DuplicateSchema, FieldKindMismatch, InvalidSchema, TermKindMismatch
-from .syntax import SYMBOL_RE, Atom, Constant, Integer
+from .syntax import SYMBOL_RE, Atom, Constant, Integer, read_program_file
 
 log = logging.getLogger(__name__)
 
@@ -211,7 +211,7 @@ def load_schema_manifest(source: str | Path) -> SchemaRegistry:
     Line format: ``predicate/arity field:pos:kind ...`` with one field spec
     per term position; arity and positions are written in ASCII digits.
     """
-    text = source.read_text() if isinstance(source, Path) else source
+    text = read_program_file(source) if isinstance(source, Path) else source
     registry = SchemaRegistry()
     for raw in text.splitlines():
         line = raw.split("%", 1)[0].strip()

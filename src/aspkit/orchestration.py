@@ -1,12 +1,13 @@
 """Core orchestration: collect programs and options, run a solver, deliver output.
 
 A :class:`Handler` owns input programs and solver options, keyed by stable
-ids, plus the solver to run them on. Execution is synchronous
-(:meth:`Handler.start_sync`) or asynchronous (:meth:`Handler.start_async`,
-which snapshots the handler state, runs on a worker thread, and invokes the
-callback exactly once, also on failure). Solver-side failures are reported
-inside :class:`Output`; bad input (unmappable records, unreadable files)
-raises in the caller for both modes.
+ids, plus the solver object, which holds all that is specific to one system;
+:func:`assemble` joins program parts, for the command line too. Execution is
+synchronous (:meth:`Handler.start_sync`) or asynchronous
+(:meth:`Handler.start_async`, which snapshots the handler state, runs on a
+worker thread, and invokes the callback exactly once, also on failure).
+Solver-side failures are reported inside :class:`Output`; bad input
+(unmappable records, unreadable files) raises in the caller for both modes.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from . import systems
 from .errors import (
     AspkitError,
-    FileReadError,
     MalformedOutput,
     MappingError,
     NonzeroExit,
@@ -28,14 +29,14 @@ from .errors import (
     SolverTimeout,
 )
 from .mapper import MappedRecord, SchemaRegistry, record_to_fact
-from .refeval import DEFAULT_LIMITS, EvaluationLimits
 from .syntax import read_program_file
+from .systems import AnswerSets, OptionDescriptor, SolverSpec
 
 log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Input programs and options
+# Input programs
 # ---------------------------------------------------------------------------
 
 class InputProgram:
@@ -63,24 +64,6 @@ class InputProgram:
         return self
 
 
-@dataclass(frozen=True, slots=True)
-class OptionDescriptor:
-    """One solver option, already rendered as text.
-
-    ``separator`` splits the text into separate command-line arguments; with
-    the empty separator the option is passed as a single argument, so values
-    containing spaces never leak into neighbouring arguments.
-    """
-
-    option_text: str
-    separator: str = ""
-
-    def as_args(self) -> list[str]:
-        if not self.separator:
-            return [self.option_text]
-        return [part for part in self.option_text.split(self.separator) if part]
-
-
 # ---------------------------------------------------------------------------
 # Output
 # ---------------------------------------------------------------------------
@@ -98,7 +81,7 @@ class Output:
     """Result of one solver execution: raw text plus either parsed sets or an error."""
 
     raw: str
-    answer_sets: "AnswerSets | None" = None  # aspkit.systems.AnswerSets
+    answer_sets: AnswerSets | None = None
     error: SolverFailure | None = None
 
     @property
@@ -121,13 +104,11 @@ class Handler:
 
     def __init__(
         self,
-        solver,  # an aspkit.systems.SolverSpec: runs the program, reads its output
+        solver: SolverSpec,
         registry: SchemaRegistry | None = None,
-        limits: EvaluationLimits = DEFAULT_LIMITS,
     ):
         self.solver = solver
         self.registry = registry
-        self.limits = limits
         self._items: dict[int, InputProgram | OptionDescriptor] = {}
         self._next_id = 0
 
@@ -152,7 +133,7 @@ class Handler:
         items = self._items.values()
         parts = [part for item in items if isinstance(item, InputProgram) for part in item.parts]
         own = [item for item in items if isinstance(item, OptionDescriptor)]
-        return _assemble(parts), (*self.solver.default_options, *own)
+        return assemble(parts), (*self.solver.default_options, *own)
 
     def assemble_input(self) -> str:
         return self._snapshot()[0]
@@ -184,11 +165,9 @@ class Handler:
         return job_id
 
     def _execute(self, text: str, options, timeout: float | None) -> Output:
-        from . import systems  # deferred: systems imports OptionDescriptor from here
-
         raw = ""
         try:
-            raw = systems.invoke_solver(self.solver, text, options, timeout, self.limits)
+            raw = systems.invoke_solver(self.solver, text, options, timeout)
             return Output(raw=raw, answer_sets=self.solver.parse_output(raw))
         except AspkitError as exc:
             kind = _FAILURE_KINDS.get(type(exc), "evaluation_error")
@@ -208,7 +187,7 @@ _FAILURE_KINDS = {
 }
 
 
-def _assemble(parts) -> str:
+def assemble(parts) -> str:
     """Concatenate parts in order, each ending at a line end, so that no comment
     or statement runs into the next part; mapped records become one fact per line."""
     chunks: list[str] = []
@@ -221,10 +200,7 @@ def _assemble(parts) -> str:
             except AspkitError as exc:
                 raise MappingError(str(exc)) from exc
         else:
-            try:
-                text = read_program_file(part)
-            except OSError as exc:
-                raise FileReadError(f"cannot read {part}: {exc}") from exc
+            text = read_program_file(part)
         chunks.append(text)
         if text and not text.endswith(("\n", "\r")):
             chunks.append("\n")

@@ -56,17 +56,17 @@ from .syntax import (
 class EvaluationLimits:
     """Hard bounds checked before any enumeration starts."""
 
-    max_herbrand_base: int = 5000
     max_candidate_atoms: int = 22
     max_ground_rules: int = 200_000
 
     def __post_init__(self):
-        for name in ("max_herbrand_base", "max_candidate_atoms", "max_ground_rules"):
+        for name in ("max_candidate_atoms", "max_ground_rules"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
 DEFAULT_LIMITS = EvaluationLimits()
+_HERBRAND_BASE_CAP = 5000  # the most atoms herbrand_base builds
 
 
 class _Run:
@@ -178,14 +178,14 @@ def herbrand_universe(program: Program) -> frozenset[Term]:
     return frozenset(t for t in terms if not isinstance(t, Variable))
 
 
-def herbrand_base(program: Program, limits: EvaluationLimits = DEFAULT_LIMITS) -> frozenset[Atom]:
+def herbrand_base(program: Program) -> frozenset[Atom]:
     """Every atom formable from the program's predicates over its universe."""
     universe = sorted(herbrand_universe(program), key=_term_sort_key)
     partition = classify_predicates(program)
     sigs = partition.edb | partition.idb
     count = sum(len(universe) ** arity for _, arity in sigs)
-    if count > limits.max_herbrand_base:
-        raise LimitExceeded("herbrand base atoms", count, limits.max_herbrand_base)
+    if count > _HERBRAND_BASE_CAP:
+        raise LimitExceeded("herbrand base atoms", count, _HERBRAND_BASE_CAP)
     base: set[Atom] = set()
     for name, arity in sigs:
         for combo in itertools.product(universe, repeat=arity):

@@ -510,12 +510,15 @@ class _Parser:
 
 
 def read_program_file(path) -> str:
-    """The text of a program file as written; only the tokenizer splits lines."""
-    with open(path, newline="") as handle:
-        try:
+    """The text of a program file as written; only the tokenizer splits lines.
+    Every failure to read it raises :class:`FileReadError`."""
+    try:
+        with open(path, newline="") as handle:
             return handle.read()
-        except UnicodeDecodeError as exc:
-            raise FileReadError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:  # its text already names the file
+        raise FileReadError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise FileReadError(f"cannot read {path}: {exc}") from exc
 
 
 def parse_program(text: str, check_safety: bool = True) -> Program:

@@ -1,16 +1,16 @@
 """One object per ASP system: its options, invocation and output parser.
 
-Each system is a subclass of :class:`SolverSpec`; an instance holds only the
-executable and the options every run gets first. External systems are black
-boxes reached through a subprocess with the input program in a temporary
-file. The built-in reference evaluator runs in process and renders its
-results in the clingo textual style, so the clingo parser path is exercised
-with no binary installed. `aspkit solve` reaches every system through these
-objects, via `Handler`. Witness atoms of both output formats are read by
-`syntax.parse_witness`, one scan per line; each parser shares one table of
-atoms by text across the witnesses of an output, so a recurring atom is built
-once. Lines the scan cannot read go to the program tokenizer, which places
-the fault.
+Each system is a subclass of :class:`SolverSpec`; an instance holds the
+executable and the options (:class:`OptionDescriptor`) every run gets first.
+External systems are black boxes reached through a subprocess with the input
+program in a temporary file. The built-in reference evaluator runs in process
+within the evaluation limits it holds and prints clingo-style text, so the
+clingo parser path is exercised with no binary installed. `aspkit solve`
+reaches every system through these objects, via `Handler`. Witness atoms of
+both output formats are read by `syntax.parse_witness`, one scan per line;
+each parser shares one table of atoms by text across the witnesses of an
+output, so a recurring atom is built once. Lines the scan cannot read go to
+the program tokenizer, which places the fault.
 """
 
 from __future__ import annotations
@@ -36,21 +36,39 @@ from .errors import (
     SolverTimeout,
     UnsupportedOption,
 )
-from .orchestration import OptionDescriptor
 from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits
 from .syntax import SYMBOL_RE, parse_program, parse_witness
 
 ENV_KEEP_TEMP = "ASP_EMBED_KEEP_TEMP"
 
 
+@dataclass(frozen=True, slots=True)
+class OptionDescriptor:
+    """One solver option, already rendered as text.
+
+    ``separator`` splits the text into separate command-line arguments; with
+    the empty separator the option is passed as a single argument, so values
+    containing spaces never leak into neighbouring arguments.
+    """
+
+    option_text: str
+    separator: str = ""
+
+    def as_args(self) -> list[str]:
+        if not self.separator:
+            return [self.option_text]
+        return [part for part in self.option_text.split(self.separator) if part]
+
+
 @dataclass(frozen=True)
 class SolverSpec(ABC):
-    """An ASP system; each subclass is one system and adds no fields.
+    """An ASP system; each subclass is one system.
 
-    A subclass is a dataclass of its own only where it checks its fields
-    in `__post_init__`. Methods reach this module's parsers and helpers
-    through their global names at run time, never through values bound at
-    import, so a wrapper patched onto the module sees every call.
+    A subclass is a dataclass of its own only where it adds a field (the
+    reference system's limits) or checks its fields in `__post_init__`.
+    Methods reach this module's parsers and helpers through their global
+    names at run time, never through values bound at import, so a wrapper
+    patched onto the module sees every call.
     """
 
     executable: str | None = None
@@ -68,7 +86,7 @@ class SolverSpec(ABC):
         return OptionDescriptor(self.models_syntax.format(n))
 
     @abstractmethod
-    def invoke(self, input_text: str, options, timeout, limits) -> str:
+    def invoke(self, input_text: str, options, timeout) -> str:
         """Run over program text and return the raw textual output."""
 
     @abstractmethod
@@ -81,8 +99,10 @@ class ReferenceSystem(SolverSpec):
     """The built-in evaluator, run in process, printing clingo-style text.
 
     Its only option is the positional model count; other option text is
-    refused rather than ignored.
+    refused rather than ignored. ``limits`` bounds every run.
     """
+
+    limits: EvaluationLimits = DEFAULT_LIMITS
 
     name = "reference"
     models_syntax = "{}"
@@ -93,11 +113,11 @@ class ReferenceSystem(SolverSpec):
         if self.executable is not None:
             raise ValueError("the reference evaluator has no executable")
 
-    def invoke(self, input_text, options, timeout, limits) -> str:
+    def invoke(self, input_text, options, timeout) -> str:
         model_cap = self._model_cap(options)
         deadline = time.monotonic() + timeout if timeout is not None else None
         program = parse_program(input_text)
-        sets = refeval.answer_sets(program, limits, deadline=deadline)
+        sets = refeval.answer_sets(program, self.limits, deadline=deadline)
         return render_reference_output(
             sets,
             has_weak_constraints=bool(program.weak_constraints),
@@ -138,7 +158,7 @@ class _ExternalSystem(SolverSpec):
             raise SolverNotFound(f"{self.name} executable {candidate!r} not found")
         return candidate
 
-    def invoke(self, input_text, options, timeout, limits) -> str:
+    def invoke(self, input_text, options, timeout) -> str:
         # The temporary file is kept after the run when $ASP_EMBED_KEEP_TEMP is set.
         executable = self.resolve_executable()
         args = [arg for opt in options for arg in opt.as_args()]
@@ -209,8 +229,8 @@ class DlvSystem(_ExternalSystem):
         return parse_dlv_output(raw)
 
 
-def reference_solver() -> SolverSpec:
-    return ReferenceSystem()
+def reference_solver(limits: EvaluationLimits = DEFAULT_LIMITS) -> SolverSpec:
+    return ReferenceSystem(limits=limits)
 
 
 def clingo_solver(executable: str | None = None, default_options=()) -> SolverSpec:
@@ -378,10 +398,9 @@ def invoke_solver(
     input_text: str,
     options=(),
     timeout: float | None = None,
-    limits: EvaluationLimits = DEFAULT_LIMITS,
 ) -> str:
     """Run a solver over program text and return its raw textual output."""
-    return spec.invoke(input_text, options, timeout, limits)
+    return spec.invoke(input_text, options, timeout)
 
 
 def render_reference_output(

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from aspkit import cli, encodings
+from aspkit.orchestration import Handler, InputProgram
 from aspkit.syntax import parse_program
+from aspkit.systems import reference_solver
 
 BASE = [sys.executable, "-m", "aspkit"]
 
@@ -287,6 +289,30 @@ class TestCheck:
         interp = self.write(tmp_path, "i.lp", "p(X).\n")
         code, _, err = run_cli("check", prog, "-I", interp)
         assert code == 1
+
+
+class TestMultipleFiles:
+    """The command line joins its files as `Handler` joins file parts."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        (tmp_path / "t3.lp").write_text("a.\n")
+        (tmp_path / "t2.lp").write_text("b.\nc(.\n")
+        (tmp_path / "i.lp").write_text("a.\n")
+        return [str(tmp_path / "t3.lp"), str(tmp_path / "t2.lp")]
+
+    @pytest.mark.parametrize("command", ["solve", "check", "ground"])
+    def test_parse_error_placed_as_by_handler(self, paths, command, capsys):
+        program = InputProgram()
+        for path in paths:
+            program.add_file(path)
+        handler = Handler(reference_solver())
+        handler.add_program(program)
+        message = handler.start_sync().error.message
+        assert message == "3:3: expected a term, found '.'"
+        interpretation = ["-I", str(Path(paths[0]).parent / "i.lp")] if command == "check" else []
+        assert cli.main([command, *paths, *interpretation]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestGround:

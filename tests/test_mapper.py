@@ -1,13 +1,17 @@
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import needs_utf8
+
 from aspkit.errors import (
     DuplicateSchema,
     FieldKindMismatch,
+    FileReadError,
     InvalidSchema,
     TermKindMismatch,
 )
@@ -230,6 +234,23 @@ class TestManifest:
     def test_arity_is_ascii_digits(self, arity):
         with pytest.raises(InvalidSchema):
             load_schema_manifest(f"cell/{arity} row:1:integer")
+
+    def test_load_from_file(self, tmp_path):
+        path = tmp_path / "cells.schema"
+        path.write_text("cell/3 row:1:integer column:2:integer value:3:integer\r\n")
+        assert load_schema_manifest(path).lookup(("cell", 3)) is not None
+
+    def test_missing_file_is_a_file_read_error(self, tmp_path):
+        path = tmp_path / "absent.schema"
+        with pytest.raises(FileReadError, match="No such file or directory"):
+            load_schema_manifest(path)
+
+    @needs_utf8
+    def test_undecodable_file_is_a_file_read_error(self, tmp_path):
+        path = tmp_path / "bad.schema"
+        path.write_bytes(b"cell/1 row:1:integer % \xff\n")
+        with pytest.raises(FileReadError, match=re.escape(f"cannot read {path}: ")):
+            load_schema_manifest(path)
 
 
 class TestRoundTripProperties:

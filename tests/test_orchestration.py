@@ -11,6 +11,7 @@ from aspkit import cli
 from aspkit.errors import FileReadError, MappingError
 from aspkit.mapper import SchemaRegistry, record, schema
 from aspkit.orchestration import Handler, InputProgram, OptionDescriptor, Output
+from aspkit.refeval import EvaluationLimits
 from aspkit.systems import clingo_solver, reference_solver
 
 CELL = schema("cell", row=(1, "integer"), column=(2, "integer"), value=(3, "integer"))
@@ -215,6 +216,28 @@ class TestStartSync:
         assert output.error.kind == "nonzero_exit"
         assert output.error.exit_code == 3
         assert "boom" in output.error.stderr
+
+
+class TestReferenceLimits:
+    """The reference system carries its evaluation limits; the Handler only runs it."""
+
+    EXPECTED = ("evaluation_error", "candidate atoms: 2 exceeds limit 1")
+
+    @pytest.fixture
+    def handler(self):
+        handler = Handler(reference_solver(EvaluationLimits(max_candidate_atoms=1)))
+        handler.add_program("a | b.")
+        return handler
+
+    def test_sync(self, handler):
+        error = handler.start_sync().error
+        assert (error.kind, error.message) == self.EXPECTED
+
+    def test_async(self, handler):
+        results: "queue.Queue[Output]" = queue.Queue()
+        handler.start_async(results.put)
+        error = results.get(timeout=10).error
+        assert (error.kind, error.message) == self.EXPECTED
 
 
 class TestUnrunnableExecutable:

@@ -108,9 +108,11 @@ class TestHerbrandBase:
         assert len(base) == 36 + 6 + 36
 
     def test_limit_refusal(self):
-        program = parse_program("p(1). p(2). q(X,Y,Z) :- p(X), p(Y), p(Z).")
-        with pytest.raises(LimitExceeded):
-            herbrand_base(program, EvaluationLimits(max_herbrand_base=5))
+        facts = "".join(f"p({i}). " for i in range(18))
+        program = parse_program(facts + "q(X,Y,Z) :- p(X), p(Y), p(Z).")
+        with pytest.raises(LimitExceeded) as info:
+            herbrand_base(program)  # 18 p/1 atoms and 18**3 q/3 atoms
+        assert (info.value.count, info.value.limit) == (5850, 5000)
 
 
 class TestGrounding:
