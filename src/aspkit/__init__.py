@@ -17,6 +17,7 @@ from .mapper import (
     answer_set_to_records,
     fact_to_record,
     load_schema_manifest,
+    parse_schema_manifest,
     record,
     record_to_fact,
     schema,

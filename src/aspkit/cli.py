@@ -77,9 +77,14 @@ def _solver_flags(sub: argparse.ArgumentParser) -> None:
 
 def _ascii_int(text: str, least: int, kind: str) -> int:
     # ASCII digits only, as in program text; int() would also take `١`, `+3` and ` 1_0 `.
-    if not (text.isascii() and text.isdigit()) or int(text) < least:
-        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
-    return int(text)
+    if text.isascii() and text.isdigit():
+        try:
+            value = int(text)
+        except ValueError:  # more digits than int() reads from text
+            value = None
+        if value is not None and value >= least:
+            return value
+    raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
 
 
 def _positive_int(text: str) -> int:

@@ -205,13 +205,17 @@ def answer_set_to_records(reg: SchemaRegistry, atoms) -> tuple[list[MappedRecord
     return records, skipped
 
 
-def load_schema_manifest(source: str | Path) -> SchemaRegistry:
+def load_schema_manifest(path: str | Path) -> SchemaRegistry:
+    """Read a schema manifest file; see :func:`parse_schema_manifest`."""
+    return parse_schema_manifest(read_program_file(path))
+
+
+def parse_schema_manifest(text: str) -> SchemaRegistry:
     """Parse a schema manifest: one schema per line, `%` comments.
 
     Line format: ``predicate/arity field:pos:kind ...`` with one field spec
     per term position; arity and positions are written in ASCII digits.
     """
-    text = read_program_file(source) if isinstance(source, Path) else source
     registry = SchemaRegistry()
     for raw in text.splitlines():
         line = raw.split("%", 1)[0].strip()

@@ -177,8 +177,7 @@ class Handler:
 
 
 # Any other AspkitError (reference parse, safety, limit and option errors, an
-# input file that cannot be written, an argument no process can take) is an
-# evaluation_error.
+# argument or program text no process can take) is an evaluation_error.
 _FAILURE_KINDS = {
     SolverNotFound: "solver_not_found",
     SolverTimeout: "timeout",

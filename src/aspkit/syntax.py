@@ -402,8 +402,6 @@ class _Parser:
         if self.peek().kind == "IMPLIES":
             self.next()
             body = self.parse_body()
-        elif not head:
-            raise self.error("expected a rule head or `:-`")
         self.expect("DOT")
         return Rule(head=tuple(head), body=body)
 

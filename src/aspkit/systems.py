@@ -1,9 +1,10 @@
 """One object per ASP system: its options, invocation and output parser.
 
 Each system is a subclass of :class:`SolverSpec`; an instance holds the
-executable and the options (:class:`OptionDescriptor`) every run gets first.
-External systems are black boxes reached through a subprocess with the input
-program in a temporary file. The built-in reference evaluator runs in process
+options (:class:`OptionDescriptor`) every run gets first, and an external
+system's instance also its executable. External systems are black boxes
+reached through a subprocess that reads the program on its standard input.
+The built-in reference evaluator runs in process
 within the evaluation limits it holds and prints clingo-style text, so the
 clingo parser path is exercised with no binary installed. `aspkit solve`
 reaches every system through these objects, via `Handler`. Witness atoms of
@@ -20,7 +21,6 @@ import os
 import re
 import shutil
 import subprocess
-import tempfile
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -38,8 +38,6 @@ from .errors import (
 )
 from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits
 from .syntax import SYMBOL_RE, parse_program, parse_witness
-
-ENV_KEEP_TEMP = "ASP_EMBED_KEEP_TEMP"
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,13 +63,12 @@ class SolverSpec(ABC):
     """An ASP system; each subclass is one system.
 
     A subclass is a dataclass of its own only where it adds a field (the
-    reference system's limits) or checks its fields in `__post_init__`.
-    Methods reach this module's parsers and helpers through their global
-    names at run time, never through values bound at import, so a wrapper
-    patched onto the module sees every call.
+    reference system's limits, an external system's executable). Methods
+    reach this module's parsers and helpers through their global names at
+    run time, never through values bound at import, so a wrapper patched
+    onto the module sees every call.
     """
 
-    executable: str | None = None
     default_options: tuple[OptionDescriptor, ...] = ()
 
     name: ClassVar[str]
@@ -109,10 +106,6 @@ class ReferenceSystem(SolverSpec):
     accepts_filter = True
     passes_filter = False
 
-    def __post_init__(self):
-        if self.executable is not None:
-            raise ValueError("the reference evaluator has no executable")
-
     def invoke(self, input_text, options, timeout) -> str:
         model_cap = self._model_cap(options)
         deadline = time.monotonic() + timeout if timeout is not None else None
@@ -141,11 +134,15 @@ class ReferenceSystem(SolverSpec):
         return parse_clingo_output(raw)
 
 
+@dataclass(frozen=True)
 class _ExternalSystem(SolverSpec):
-    """A solver binary run as a subprocess on a temporary input file."""
+    """A solver binary run as a subprocess that reads the program on stdin."""
+
+    executable: str | None = None
 
     env_executable: ClassVar[str]  # overrides the configured executable
     ok_exit_codes: ClassVar[frozenset[int]]  # exit codes of a completed run
+    stdin_argument: ClassVar[str]  # the last argument, naming stdin as the input
 
     def resolve_executable(self) -> str:
         override = os.environ.get(self.env_executable)
@@ -154,45 +151,29 @@ class _ExternalSystem(SolverSpec):
             raise SolverNotFound(
                 f"no {self.name} executable configured (set ${self.env_executable})"
             )
-        if not shutil.which(candidate):
-            raise SolverNotFound(f"{self.name} executable {candidate!r} not found")
         return candidate
 
     def invoke(self, input_text, options, timeout) -> str:
-        # The temporary file is kept after the run when $ASP_EMBED_KEEP_TEMP is set.
+        """Stdout of a completed run, decoded strictly and with its line ends as written."""
         executable = self.resolve_executable()
         args = [arg for opt in options for arg in opt.as_args()]
+        text = input_text if input_text.endswith("\n") else input_text + "\n"
+        encoding = locale.getpreferredencoding(False)  # what text-mode pipes use
         try:
-            fd, path = tempfile.mkstemp(suffix=".lp", prefix="aspkit-")
-        except OSError as exc:  # the message names the file it tried
-            raise AspkitError(f"cannot create the input file: {exc}") from exc
-        try:
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(input_text if input_text.endswith("\n") else input_text + "\n")
-            except (OSError, UnicodeEncodeError) as exc:
-                raise AspkitError(f"cannot write the input file {path}: {exc}") from exc
-            return self._run([executable, *args, path], timeout)
-        finally:
-            if not os.environ.get(ENV_KEEP_TEMP):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-
-    def _run(self, command, timeout) -> str:
-        """Stdout of a completed run, decoded strictly and with its line ends as written."""
-        try:
-            proc = subprocess.run(command, capture_output=True, timeout=timeout)
+            proc = subprocess.run(
+                [executable, *args, self.stdin_argument],
+                input=text.encode(encoding),
+                capture_output=True,
+                timeout=timeout,
+            )
         except subprocess.TimeoutExpired as exc:
             raise SolverTimeout(f"{self.name} exceeded {timeout}s") from exc
         except OSError as exc:
             raise SolverNotFound(
-                f"{self.name} executable {command[0]!r} cannot be run: {exc}"
+                f"{self.name} executable {executable!r} cannot be run: {exc}"
             ) from exc
-        except ValueError as exc:  # an argument no process can take, e.g. a NUL byte
+        except ValueError as exc:  # program text the encoding cannot write, a NUL byte
             raise AspkitError(f"cannot run {self.name}: {exc}") from exc
-        encoding = locale.getpreferredencoding(False)  # what text-mode pipes decode with
         if proc.returncode not in self.ok_exit_codes:
             raise NonzeroExit(proc.returncode, proc.stderr.decode(encoding, "backslashreplace"))
         try:
@@ -209,6 +190,7 @@ class ClingoSystem(_ExternalSystem):
     # The exit code encodes the solving outcome: 10 sat, 20 unsat, 30 sat +
     # search space exhausted.
     ok_exit_codes = frozenset({0, 10, 20, 30})
+    stdin_argument = "-"  # clingo's name for standard input
     models_syntax = "{}"
     accepts_filter = False
     passes_filter = False
@@ -221,6 +203,7 @@ class DlvSystem(_ExternalSystem):
     name = "dlv"
     env_executable = "ASP_EMBED_DLV"
     ok_exit_codes = frozenset({0})
+    stdin_argument = "--"  # DLV reads standard input after `--`
     models_syntax = "-n={}"
     accepts_filter = True
     passes_filter = True

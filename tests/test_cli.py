@@ -192,7 +192,7 @@ def fake_solver(tmp_path, name: str, output: str, code: int = 0) -> str:
 
 
 def recorded_args(tmp_path, name: str) -> list[str]:
-    """Arguments before the input file, which comes last."""
+    """Arguments before the one naming stdin as the input, which comes last."""
     return (tmp_path / f"{name}.args").read_text().splitlines()[:-1]
 
 
@@ -390,6 +390,16 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert f"integer, got {value!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,kind",
+        [("--models", "non-negative"), ("--limit-atoms", "positive"), ("--limit-rules", "positive")],
+    )
+    def test_number_too_long_to_read(self, bundle_dir, flag, kind):
+        value = "1" * 5000  # more digits than int() reads from text
+        code, out, err = run_cli("solve", flag, value, str(bundle_dir / "3col-k3.lp"))
+        assert (code, out) == (2, "")
+        assert f"{flag}: must be a {kind} integer, got '{value}'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from aspkit.mapper import (
     answer_set_to_records,
     fact_to_record,
     load_schema_manifest,
+    parse_schema_manifest,
     record,
     record_to_fact,
     schema,
@@ -51,6 +52,13 @@ class TestRegistration:
             ),
         )
         with pytest.raises(InvalidSchema):
+            SchemaRegistry().register(bad)
+
+    def test_duplicate_field_ids_rejected(self):
+        bad = PredicateSchema(
+            "edge", (SchemaField("node", 1, "integer"), SchemaField("node", 2, "integer"))
+        )
+        with pytest.raises(InvalidSchema, match="duplicate field ids in 'edge'"):
             SchemaRegistry().register(bad)
 
     def test_duplicate_registration_rejected(self):
@@ -119,6 +127,10 @@ class TestRecordToFact:
         with pytest.raises(FieldKindMismatch):
             record_to_fact(colored, record(colored, node=1, color=value))
 
+    def test_quoted_string_rejects_a_quote_mark(self):
+        with pytest.raises(FieldKindMismatch, match="expected a plain string"):
+            record_to_fact(ACTIVITY, record(ACTIVITY, name='say "hi"', duration=20))
+
     def test_missing_field(self):
         with pytest.raises(FieldKindMismatch):
             record_to_fact(CELL, record(CELL, row=1, column=2))
@@ -155,6 +167,16 @@ class TestFactToRecord:
         registry = SchemaRegistry([ACTIVITY])
         got = fact_to_record(registry, Atom("activity_to_do", (Constant('"RUNNING"'), Integer(20))))
         assert got.values == {"name": "RUNNING", "duration": 20}
+
+    def test_symbol_field_reads_the_constant(self):
+        colored = schema("color", node=(1, "integer"), color=(2, "symbol"))
+        got = fact_to_record(SchemaRegistry([colored]), Atom("color", (Integer(1), Constant("red"))))
+        assert got.values == {"node": 1, "color": "red"}
+
+    def test_quoted_string_field_rejects_symbol_term(self):
+        registry = SchemaRegistry([ACTIVITY])
+        with pytest.raises(TermKindMismatch, match="expected a quoted string"):
+            fact_to_record(registry, Atom("activity_to_do", (Constant("running"), Integer(20))))
 
     def test_symbol_field_rejects_quoted_term(self):
         colored = schema("color", c=(1, "symbol"))
@@ -206,7 +228,7 @@ class TestAnswerSetToRecords:
 
 class TestManifest:
     def test_load_and_use(self):
-        registry = load_schema_manifest(
+        registry = parse_schema_manifest(
             "% board cells\n"
             "cell/3 row:1:integer column:2:integer value:3:integer\n"
             "activity_to_do/2 name:1:quoted_string duration:2:integer\n"
@@ -217,28 +239,33 @@ class TestManifest:
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(InvalidSchema):
-            load_schema_manifest("cell/3 row:1:integer\n")
+            parse_schema_manifest("cell/3 row:1:integer\n")
 
     def test_bad_field_spec_rejected(self):
         specs = ("row=1=integer", "row:\u00b2:integer", "row:\u0661:integer")
         for line in (f"cell/1 {spec}\n" for spec in specs):
             with pytest.raises(InvalidSchema):
-                load_schema_manifest(line)
+                parse_schema_manifest(line)
 
     @pytest.mark.parametrize("line", ["cell/1 row:" + "1" * 5000 + ":integer", "cell/" + "1" * 5000])
     def test_number_too_long_to_read(self, line):
         with pytest.raises(InvalidSchema, match="number too long in schema 'cell'"):
-            load_schema_manifest(line)
+            parse_schema_manifest(line)
 
     @pytest.mark.parametrize("arity", ["\u00b2", "\u0661"])
     def test_arity_is_ascii_digits(self, arity):
         with pytest.raises(InvalidSchema):
-            load_schema_manifest(f"cell/{arity} row:1:integer")
+            parse_schema_manifest(f"cell/{arity} row:1:integer")
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cells.schema"
         path.write_text("cell/3 row:1:integer column:2:integer value:3:integer\r\n")
         assert load_schema_manifest(path).lookup(("cell", 3)) is not None
+
+    def test_load_from_a_str_path(self, tmp_path):
+        path = tmp_path / "cells.schema"
+        path.write_text("cell/3 row:1:integer column:2:integer value:3:integer\n")
+        assert load_schema_manifest(str(path)).lookup(("cell", 3)) is not None
 
     def test_missing_file_is_a_file_read_error(self, tmp_path):
         path = tmp_path / "absent.schema"

@@ -1,4 +1,3 @@
-import os
 import queue
 import stat
 import threading
@@ -21,7 +20,6 @@ CELL = schema("cell", row=(1, "integer"), column=(2, "integer"), value=(3, "inte
 def no_env_overrides(monkeypatch):
     monkeypatch.delenv("ASP_EMBED_CLINGO", raising=False)
     monkeypatch.delenv("ASP_EMBED_DLV", raising=False)
-    monkeypatch.delenv("ASP_EMBED_KEEP_TEMP", raising=False)
 
 
 class TestOptionDescriptor:
@@ -45,7 +43,7 @@ class TestOptionDescriptor:
         handler.add_option(OptionDescriptor("0"))
         handler.add_option(OptionDescriptor("--stats level", " "))
         output = handler.start_sync()
-        # 0, --stats, level, plus the input file path
+        # 0, --stats, level, plus `-`, clingo's name for stdin
         assert "args(4)" in output.raw
 
 
@@ -287,13 +285,13 @@ class TestStartAsync:
         assert results.get(timeout=10) == expected
 
     def test_snapshot_input_written_before_mutation(self, tmp_path, monkeypatch):
-        # the fake solver copies its input file aside while the test mutates
+        # the fake solver copies its stdin aside while the test mutates
         copy_target = tmp_path / "seen-input.lp"
         monkeypatch.setenv("SNAPSHOT_COPY", str(copy_target))
         script = make_script(
             tmp_path,
             "snapshotting",
-            'sleep 0.2\ncp "$1" "$SNAPSHOT_COPY"\necho "Answer: 1"\necho "a"\necho "SATISFIABLE"\nexit 10\n',
+            'sleep 0.2\ncat > "$SNAPSHOT_COPY"\necho "Answer: 1"\necho "a"\necho "SATISFIABLE"\nexit 10\n',
         )
         handler = Handler(clingo_solver(script))
         handler.add_program("a.\n")
@@ -381,34 +379,3 @@ class TestEmbeddingWorkflow:
         assert grid == {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}
         assert skipped > 0  # the helper atoms stay in the raw interpretation
 
-
-class TestTempFiles:
-    def test_temp_file_removed_after_run(self, tmp_path):
-        record_dir = tmp_path / "seen"
-        record_dir.mkdir()
-        script = make_script(
-            tmp_path,
-            "recorder",
-            f'echo "$1" > {record_dir}/path\necho "SATISFIABLE"\nexit 10\n',
-        )
-        handler = Handler(clingo_solver(script))
-        handler.add_program("a.")
-        assert handler.start_sync().ok
-        seen_path = (record_dir / "path").read_text().strip()
-        assert not os.path.exists(seen_path)
-
-    def test_keep_temp_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ASP_EMBED_KEEP_TEMP", "1")
-        record_dir = tmp_path / "seen"
-        record_dir.mkdir()
-        script = make_script(
-            tmp_path,
-            "recorder",
-            f'echo "$1" > {record_dir}/path\necho "SATISFIABLE"\nexit 10\n',
-        )
-        handler = Handler(clingo_solver(script))
-        handler.add_program("a.")
-        assert handler.start_sync().ok
-        seen_path = (record_dir / "path").read_text().strip()
-        assert os.path.exists(seen_path)
-        os.unlink(seen_path)

@@ -179,6 +179,13 @@ class TestGrounding:
         [only] = answer_sets(program)
         assert only.cost == {}
 
+    def test_weak_instances_with_negative_weights_are_dropped(self):
+        program = parse_program("w(-1). a. :~ a, w(W). [W:1]")
+        gp = ground_program(program)
+        assert all(Atom("w", (Integer(-1),)) not in w.pos for w in gp.weak_constraints)
+        [only] = answer_sets(program)
+        assert only.cost == {}
+
 
 class TestBuiltins:
     @pytest.mark.parametrize(

@@ -65,6 +65,10 @@ class TestParsing:
         assert weak.weight == Integer(1)
         assert weak.level == Integer(2)
 
+    def test_weak_constraint_negative_weight_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="weight and level must be non-negative"):
+            parse_program(":~ a. [-1:0]")
+
     def test_weak_constraint_variable_annotation(self):
         program = parse_program(":~ optimize(A, W, P), activity_to_do(A, _). [W:P]")
         weak = program.weak_constraints[0]
@@ -289,6 +293,11 @@ class TestClassification:
         partition = classify_predicates(parse_program("a. a :- b."))
         assert ("a", 0) in partition.idb
         assert ("b", 0) in partition.edb
+
+    def test_weak_constraint_bodies_are_read(self):
+        partition = classify_predicates(parse_program("a. :~ a, not b. [1:0]"))
+        assert partition.edb == {("a", 0), ("b", 0)}
+        assert partition.idb == frozenset()
 
     def test_empty_program(self):
         partition = classify_predicates(parse_program(""))

@@ -20,6 +20,7 @@ from aspkit.syntax import Atom, Constant, Integer, parse_program
 from aspkit.systems import (
     AnswerSets,
     ClingoSystem,
+    OptionDescriptor,
     ReferenceSystem,
     SolverSpec,
     clingo_solver,
@@ -190,6 +191,10 @@ class TestClingoOutputParsing:
     def test_inconsistent_unsat_with_witness(self):
         with pytest.raises(MalformedOutput):
             parse_clingo_output("Answer: 1\na\nUNSATISFIABLE")
+
+    def test_optimum_without_a_witness(self):
+        with pytest.raises(MalformedOutput, match="optimum claimed without any witness"):
+            parse_clingo_output("Solving...\nOPTIMUM FOUND\n")
 
     def test_cost_value_too_long_to_read(self):
         with pytest.raises(MalformedOutput) as err:
@@ -390,8 +395,8 @@ class TestExternalAgreement:
 
 class TestInvocation:
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ReferenceSystem(executable="/bin/true")
+        with pytest.raises(TypeError):
+            ReferenceSystem(executable="/bin/true")  # only external systems have one
         with pytest.raises(TypeError):
             SolverSpec()  # abstract: each system is a subclass
         with pytest.raises(TypeError):
@@ -445,10 +450,20 @@ class TestInvocation:
         with pytest.raises(SolverTimeout):
             invoke_solver(clingo_solver(script), "a.", timeout=0.2)
 
-    def test_input_reaches_solver_through_temp_file(self, tmp_path):
-        script = make_script(tmp_path, "catter", 'echo "Answer: 1"\ntr "\\n" " " < "$1"\necho ""\necho "SATISFIABLE"\nexit 10\n')
-        raw = invoke_solver(clingo_solver(script), "a. b(1).")
-        assert "a. b(1)." in raw
+    def test_input_reaches_solver_on_stdin(self, tmp_path):
+        # the fake solver records its arguments, one per line, and its stdin
+        script = make_script(
+            tmp_path, "recorder", f'printf "%s\\n" "$@" > "{tmp_path}/argv"\ncat > "{tmp_path}/stdin"\n'
+        )
+        for system, stdin_argument in ((clingo_solver, "-"), (dlv_solver, "--")):
+            handler = Handler(system(script, [OptionDescriptor("--stats level", " ")]))
+            handler.add_program("a. b(1).")
+            handler.add_program("c :- a.")
+            handler.add_option(system().models_option(3))
+            assert handler.start_sync().ok
+            options = ["--stats", "level", *system().models_option(3).as_args()]
+            assert (tmp_path / "argv").read_text().splitlines() == [*options, stdin_argument]
+            assert (tmp_path / "stdin").read_bytes() == handler.assemble_input().encode()
 
 
 # --- witness atoms rendered as solver output parse back unchanged ---
