@@ -24,7 +24,6 @@ from .syntax import parse_program, read_program_file
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
 EXIT_NO_ANSWER_SET = 10
 
 SOLVERS = {  # each takes the evaluation limits, which only the reference system reads
@@ -122,9 +121,7 @@ def _print_sets(sets: list[AnswerSet], args) -> None:
     filter_names = None if args.filter is None else set(args.filter.split(","))
     shown = sets if args.models == 0 else sets[: args.models]
     for answer in shown:
-        atoms = answer.atoms
-        if filter_names is not None:
-            atoms = frozenset(a for a in atoms if a.predicate in filter_names)
+        atoms = [a for a in answer.atoms if filter_names is None or a.predicate in filter_names]
         sys.stdout.write(refeval.render_interpretation(atoms) + "\n")
         if args.optimize:
             pairs = ", ".join(
@@ -135,19 +132,12 @@ def _print_sets(sets: list[AnswerSet], args) -> None:
 
 def cmd_solve(args) -> int:
     spec = SOLVERS[args.system](_limits(args))
-    if args.filter is not None and not spec.accepts_filter:
-        sys.stderr.write("error: --filter is only supported with --system ref or dlv\n")
-        return EXIT_USAGE
-
     handler = Handler(spec)
     handler.add_program(_program_text(args.paths))
     # Optimal sets can come after the first k models, so --optimize asks for all.
     handler.add_option(spec.models_option(0 if args.optimize else args.models))
-    if args.filter is not None:
-        # Checked for every system; the sets are projected after parsing either way.
-        option = systems.filter_option(args.filter.split(","))
-        if spec.passes_filter:
-            handler.add_option(option)
+    if args.filter is not None:  # checked before solving; _print_sets projects the parsed sets
+        systems.filter_option(args.filter.split(","))
     output = handler.start_sync()
     if not output.ok:
         sys.stderr.write(f"error: {output.error.message}\n")

@@ -12,9 +12,9 @@ Solver-side failures are reported inside :class:`Output`; bad input
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -33,6 +33,7 @@ from .syntax import read_program_file
 from .systems import AnswerSets, OptionDescriptor, SolverSpec
 
 log = logging.getLogger(__name__)
+_job_ids = itertools.count(1)  # names async jobs; next() is one C call, atomic under the GIL
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ class Handler:
         job. Solver failures are delivered through the callback's Output.
         """
         text, options = self._snapshot()
-        job_id = uuid.uuid4().hex
+        job_id = str(next(_job_ids))
 
         def run() -> None:
             output = self._execute(text, options, timeout)
@@ -161,7 +162,7 @@ class Handler:
             except Exception:
                 log.exception("callback for job %s raised", job_id)
 
-        threading.Thread(target=run, name=f"aspkit-job-{job_id[:8]}", daemon=True).start()
+        threading.Thread(target=run, name=f"aspkit-job-{job_id}", daemon=True).start()
         return job_id
 
     def _execute(self, text: str, options, timeout: float | None) -> Output:
@@ -174,6 +175,10 @@ class Handler:
             if isinstance(exc, NonzeroExit):
                 return Output(raw=raw, error=SolverFailure(kind, str(exc), exc.code, exc.stderr))
             return Output(raw=raw, error=SolverFailure(kind, str(exc)))
+        except Exception as exc:  # a fault of the solver object itself
+            log.exception("solver run raised")
+            message = f"{type(exc).__name__}: {exc}"
+            return Output(raw=raw, error=SolverFailure("evaluation_error", message))
 
 
 # Any other AspkitError (reference parse, safety, limit and option errors, an

@@ -279,11 +279,24 @@ def ground_program(
 
     substitution_budget = max(2_000_000, _SUBSTITUTION_FACTOR * limits.max_ground_rules)
     total_subs = 0
-    for stmt in list(program.rules) + list(program.weak_constraints):
-        nvars = len(stmt.variables())
-        total_subs += nconst**nvars if nvars else 1
+    for stmt in (*program.rules, *program.weak_constraints):
+        total_subs += nconst ** len(stmt.variables())
         if total_subs > substitution_budget:
-            raise LimitExceeded("grounding substitutions", total_subs, substitution_budget)
+            break
+    if relevant and total_subs > substitution_budget:
+        # Per statement a join tries at most the facts of each positive body atom's signature
+        # (nconst**arity if a non-fact rule derives it), times nconst per variable left unbound.
+        idb, facts, total_subs = classify_predicates(program).idb, {}, 0
+        for atom in program.facts():
+            facts[atom.signature] = facts.get(atom.signature, 0) + 1
+        for stmt in (*program.rules, *program.weak_constraints):
+            free, joins = set(stmt.variables()), 1
+            for a in stmt.positive_body_atoms():
+                joins *= nconst**a.arity if a.signature in idb else facts.get(a.signature, 0)
+                free.difference_update(t.name for t in a.terms if isinstance(t, Variable))
+            total_subs += min(nconst ** len(stmt.variables()), joins * nconst ** len(free))
+    if total_subs > substitution_budget:
+        raise LimitExceeded("grounding substitutions", total_subs, substitution_budget)
 
     run = _Run(limits, deadline)
     out = _Instances(run)

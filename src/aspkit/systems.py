@@ -73,8 +73,6 @@ class SolverSpec(ABC):
 
     name: ClassVar[str]
     models_syntax: ClassVar[str]  # the model-count option, formatted with the count
-    accepts_filter: ClassVar[bool]  # `aspkit solve --filter` may be used at all
-    passes_filter: ClassVar[bool]  # `--filter` also reaches the solver as `-filter=`
 
     def models_option(self, n: int) -> OptionDescriptor:
         """Enumeration count option; 0 asks for all models."""
@@ -103,8 +101,6 @@ class ReferenceSystem(SolverSpec):
 
     name = "reference"
     models_syntax = "{}"
-    accepts_filter = True
-    passes_filter = False
 
     def invoke(self, input_text, options, timeout) -> str:
         model_cap = self._model_cap(options)
@@ -192,8 +188,6 @@ class ClingoSystem(_ExternalSystem):
     ok_exit_codes = frozenset({0, 10, 20, 30})
     stdin_argument = "-"  # clingo's name for standard input
     models_syntax = "{}"
-    accepts_filter = False
-    passes_filter = False
 
     def parse_output(self, raw: str) -> AnswerSets:
         return parse_clingo_output(raw)
@@ -205,8 +199,6 @@ class DlvSystem(_ExternalSystem):
     ok_exit_codes = frozenset({0})
     stdin_argument = "--"  # DLV reads standard input after `--`
     models_syntax = "-n={}"
-    accepts_filter = True
-    passes_filter = True
 
     def parse_output(self, raw: str) -> AnswerSets:
         return parse_dlv_output(raw)
@@ -244,7 +236,7 @@ class AnswerSets:
 # ---------------------------------------------------------------------------
 
 def filter_option(predicates: list[str]) -> OptionDescriptor:
-    """DLV-style output projection option."""
+    """DLV's output projection option; `aspkit solve --filter` checks its names with it."""
     if not predicates:
         raise EmptyFilter("at least one predicate name is required")
     for name in predicates:

@@ -75,13 +75,6 @@ class TestSolve:
         assert code == 0
         assert "node(" not in out and "color(" in out
 
-    def test_filter_invalid_with_clingo(self, bundle_dir):
-        code, _, err = run_cli(
-            "solve", "--system", "clingo", "--filter", "color", str(bundle_dir / "3col-k3.lp")
-        )
-        assert code == 2
-        assert "--filter" in err
-
     def test_optimize_prints_cost_lines(self, bundle_dir):
         code, out, _ = run_cli(
             "solve", "--system", "ref", "--optimize", str(bundle_dir / "dlvfit-fragment.lp")
@@ -154,7 +147,7 @@ class TestSolve:
         code, out, _ = run_cli("solve", "--filter", "colour", str(bundle_dir / "3col-k3.lp"))
         assert (code, out) == (0, "{}\n" * 6)
 
-    @pytest.mark.parametrize("system", ["ref", "dlv"])
+    @pytest.mark.parametrize("system", ["ref", "clingo", "dlv"])
     @pytest.mark.parametrize(
         "names, bad",
         [("Color", "Color"), ("color,Bad Name", "Bad Name"), ("", ""), ("not", "not")],
@@ -163,13 +156,6 @@ class TestSolve:
         assert run_cli(
             "solve", "--system", system, "--filter", names, str(bundle_dir / "3col-k3.lp")
         ) == (1, "", f"error: invalid predicate name {bad!r}\n")
-
-    def test_empty_filter_with_clingo_is_a_usage_error(self, bundle_dir):
-        code, _, err = run_cli(
-            "solve", "--system", "clingo", "--filter", "", str(bundle_dir / "3col-k3.lp")
-        )
-        assert code == 2
-        assert "--filter" in err
 
     def test_determinism_two_runs(self, bundle_dir):
         results = [
@@ -237,12 +223,22 @@ class TestExternalSystems:
                 env={"ASP_EMBED_CLINGO": clingo})
         assert recorded_args(tmp_path, "clingo") == ["0"]
 
+    def test_clingo_output_is_projected_by_the_filter(self, tmp_path, program):
+        clingo = fake_solver(
+            tmp_path, "clingo", "Answer: 1\ncolor(1,r) node(1)\nAnswer: 2\ncolor(1,g) node(1)\n", 10
+        )
+        result = run_cli("solve", "--system", "clingo", "--filter", "color", program,
+                         env={"ASP_EMBED_CLINGO": clingo})
+        assert result == (0, "{color(1,g)}\n{color(1,r)}\n", "")
+        assert recorded_args(tmp_path, "clingo") == ["0"]
+
     def test_dlv_gets_the_model_count_and_filter(self, tmp_path, program):
+        # the filter projects the parsed sets; DLV itself gets only the model count
         dlv = fake_solver(tmp_path, "dlv", "{color(1,r), node(1)}\n{color(1,g), node(1)}\n")
         result = run_cli("solve", "--system", "dlv", "-n", "2", "--filter", "color", program,
                          env={"ASP_EMBED_DLV": dlv})
         assert result == (0, "{color(1,g)}\n{color(1,r)}\n", "")
-        assert recorded_args(tmp_path, "dlv") == ["-n=2", "-filter=color"]
+        assert recorded_args(tmp_path, "dlv") == ["-n=2"]
 
     @pytest.mark.parametrize("system, code", [("clingo", 1), ("dlv", 10)])
     def test_nonzero_exit_is_an_error(self, tmp_path, program, system, code):

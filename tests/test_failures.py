@@ -14,7 +14,7 @@ import pytest
 from conftest import make_script, needs_utf8
 
 from aspkit.orchestration import Handler, Output
-from aspkit.systems import clingo_solver, reference_solver
+from aspkit.systems import SolverSpec, clingo_solver, reference_solver
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +68,33 @@ def test_each_failure_kind_in_both_modes(tmp_path, kind):
         (3, "boom\n") if exited else (None, None)
     )
     assert sync_output.raw == ("Answer: one\n" if kind == "malformed_output" else "")
+
+
+class _Faulty(SolverSpec):
+    """A solver object with a bug: its run raises an exception no solver reports."""
+
+    name = "faulty"
+    models_syntax = "{}"
+
+    def invoke(self, input_text, options, timeout):
+        raise RuntimeError("boom")
+
+    def parse_output(self, raw):
+        raise AssertionError("a failed run has no output to parse")
+
+
+def test_any_exception_of_a_solver_object_is_an_evaluation_error(caplog):
+    handler = Handler(_Faulty())
+    handler.add_program("a.")
+    sync_output, async_output = run_both(handler)
+    assert sync_output == async_output
+    error = sync_output.error
+    assert error.kind == "evaluation_error"
+    assert error.message.startswith("RuntimeError")
+    assert (error.exit_code, error.stderr, sync_output.raw) == (None, None, "")
+    assert sync_output.answer_sets is None
+    # the traceback is logged once per run, for the sync and the async run
+    assert [r.exc_info[0] for r in caplog.records] == [RuntimeError, RuntimeError]
 
 
 LONG = "1" * 5000  # more digits than int() reads from text by default

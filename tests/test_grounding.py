@@ -17,6 +17,8 @@ import pytest
 
 from aspkit import cli, encodings, refeval
 from aspkit.errors import LimitExceeded, SafetyError, SolverTimeout
+from aspkit.mapper import record, schema
+from aspkit.orchestration import Handler, InputProgram
 from aspkit.refeval import (
     DEFAULT_LIMITS,
     EvaluationLimits,
@@ -28,6 +30,7 @@ from aspkit.refeval import (
     optimal_answer_sets,
 )
 from aspkit.syntax import Atom, Integer, Variable, parse_program
+from aspkit.systems import reference_solver
 
 # ---------------------------------------------------------------------------
 # Random non-ground programs
@@ -253,6 +256,38 @@ class TestRelevanceSemantics:
                 solve(program)
             assert caught.value.what == "grounding substitutions"
             assert caught.value.count == 40 + 40**5
+
+    def test_mapped_records_over_a_large_universe_solve(self):
+        # naive count 2,500 + 2,517**3; a join tries each reading fact once per rule
+        reading = schema(
+            "reading", id=(1, "integer"), sensor=(2, "symbol"), value=(3, "integer")
+        )
+        records = [record(reading, id=i, sensor=f"s{i % 17}", value=i % 100) for i in range(2500)]
+        handler = Handler(reference_solver())
+        handler.add_program(InputProgram().add_records(records))
+        handler.add_program("seen(S) :- reading(I,S,V).")
+        output = handler.start_sync()
+        assert output.ok, output.error
+        [only] = output.answer_sets.sets
+        assert sum(a.predicate == "seen" for a in only.atoms) == 17
+
+    def test_join_bound_over_the_budget_is_refused_with_the_bound(self):
+        program = parse_program(
+            "".join(f"r({i},{i + 1})." for i in range(2500)) + "q(X,Y,Z) :- r(X,Y), r(Y,Z)."
+        )
+        with pytest.raises(LimitExceeded) as caught:
+            answer_sets(program)
+        assert caught.value.count == 2500 + 2500 * 2500
+
+    def test_join_bound_counts_the_universe_for_a_derived_signature(self):
+        # s has no facts, but a rule derives it: its atoms count 2,501**2, not 0
+        program = parse_program(
+            "".join(f"r({i},{i + 1})." for i in range(2500))
+            + "s(X,Y) :- r(X,Y). q(X,Y,Z) :- s(X,Y), r(Y,Z)."
+        )
+        with pytest.raises(LimitExceeded) as caught:
+            answer_sets(program)
+        assert caught.value.count == 2500 + 2500 + 2501**2 * 2500
 
     @pytest.mark.parametrize("relevant", [False, True])
     def test_builtins_tell_integers_strings_and_symbols_apart(self, relevant):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import ast
 import graphlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,16 @@ def test_package_imports_are_found():
 def test_an_import_cycle_is_refused():
     with pytest.raises(graphlib.CycleError):
         graphlib.TopologicalSorter({"a": {"b"}, "b": {"a"}}).prepare()
+
+
+def test_import_does_not_load_uuid():
+    # async job ids come from a counter; uuid would also load platform
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); before = set(sys.modules); "
+        "import aspkit; print(*sorted(set(sys.modules) - before))"
+    )
+    added = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.split()
+    assert "aspkit.orchestration" in added
+    assert "uuid" not in added

@@ -331,6 +331,20 @@ class TestRendering:
         for value in (-12, -1, 0, 7, 100200):
             assert render(parse_program(f"p({value}).")) == f"p({value})."
 
+    def test_str_of_a_statement_and_a_program_is_their_render(self):
+        text = "p(X) :- q(X), not r(X).\n:~ q(X). [X:1]"
+        program = parse_program(text)
+        [rule], [weak] = program.rules, program.weak_constraints
+        assert (str(rule), str(weak), str(program)) == (
+            "p(X) :- q(X), not r(X).", ":~ q(X). [X:1]", text
+        )
+
+    def test_render_of_terms_and_of_other_objects(self):
+        terms = (Variable("X"), Constant('"a b"'), Integer(-3), Sum(Variable("X"), Integer(1)))
+        assert [render(t) for t in terms] == ["X", '"a b"', "-3", "X + 1"]
+        with pytest.raises(TypeError, match="cannot render dict"):
+            render({})
+
 
 # --- structural round trip over randomized programs ---
 

@@ -406,7 +406,6 @@ class TestInvocation:
         spec = reference_solver()
         assert not hasattr(spec, "env_executable")
         assert not hasattr(spec, "ok_exit_codes")
-        assert not spec.passes_filter
 
     def test_solver_not_found(self):
         with pytest.raises(SolverNotFound):
