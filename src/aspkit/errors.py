@@ -28,7 +28,9 @@ class SafetyError(AspkitError):
 
 
 class LimitExceeded(AspkitError):
-    """An evaluation limit would be exceeded; enumeration refuses to start."""
+    """An evaluation limit is exceeded: the substitution budget before grounding,
+    ``max_ground_rules`` as an instance is kept, the candidate cap when the
+    search space is built, the Herbrand base cap before the base is built."""
 
     def __init__(self, what: str, count: int, limit: int):
         super().__init__(f"{what}: {count} exceeds limit {limit}")

@@ -129,12 +129,12 @@ class Handler:
 
     # --- assembly ---
 
-    def _snapshot(self) -> tuple[str, tuple[OptionDescriptor, ...]]:
-        """The assembled program text and the options, the solver's defaults first."""
+    def _snapshot(self) -> tuple[str, list[OptionDescriptor]]:
+        """The assembled program text and the options, in the order they were added."""
         items = self._items.values()
         parts = [part for item in items if isinstance(item, InputProgram) for part in item.parts]
-        own = [item for item in items if isinstance(item, OptionDescriptor)]
-        return assemble(parts), (*self.solver.default_options, *own)
+        options = [item for item in items if isinstance(item, OptionDescriptor)]
+        return assemble(parts), options
 
     def assemble_input(self) -> str:
         return self._snapshot()[0]
@@ -199,6 +199,9 @@ def assemble(parts) -> str:
         if isinstance(part, str):
             text = part
         elif isinstance(part, tuple):
+            for r in part:
+                if not isinstance(r, MappedRecord):
+                    raise MappingError(f"not a mapped record: {r!r}")
             try:
                 text = "".join([f"{record_to_fact(r.schema, r)}.\n" for r in part])
             except AspkitError as exc:

@@ -21,9 +21,9 @@ the occurring ones for ``minimal_models``; the checked interpretation for
 ``is_answer_set``. Only rules are folded into bit masks; each answer set is
 charged by ``cost`` on its atoms. One backtracking search, ``_models``, drops
 a partial assignment as soon as it violates a rule; it enumerates the space
-and also serves both minimality checks, which search the submasks of a model
-with that model forbidden. For answer sets a least-model check of the reduct
-comes first, and the search runs only when head cycles leave it undecided.
+and also serves the one minimality check, ``_has_smaller_model``, which
+searches the submasks of a model with that model forbidden after a
+least-model check of the reduct, only when head cycles leave it undecided.
 This module trades speed for being small enough to audit, and doubles as the
 test oracle for the rest of the package.
 
@@ -54,7 +54,9 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class EvaluationLimits:
-    """Hard bounds checked before any enumeration starts."""
+    """Hard bounds on one evaluation: the substitution budget derived from
+    ``max_ground_rules`` is checked before grounding, ``max_ground_rules`` as
+    each instance is kept, ``max_candidate_atoms`` when the search space is built."""
 
     max_candidate_atoms: int = 22
     max_ground_rules: int = 200_000
@@ -716,7 +718,7 @@ def _models(bits: int, folded, run: _Run, base: int = 0):
     checked as soon as that bit is assigned, so a partial mask that violates
     it is dropped with every extension. A rule with no bit inside ``bits`` is
     checked once against ``base``. Full enumeration is ``bits`` all candidates
-    and ``base`` 0; both minimality checks search the submasks of a model.
+    and ``base`` 0; the minimality check searches the submasks of a model.
     """
     run.start("enumeration")
     buckets: dict[int, list[tuple[int, int]]] = {}
@@ -799,9 +801,9 @@ def minimal_models(
     """All subset-minimal models of the ground rules, from the backtracking search.
 
     Candidates range over every atom occurring in the program (facts forced
-    in). Each model ``m`` is kept when ``_models`` finds no model among its
-    submasks once ``m`` itself is forbidden; returned in canonical rendering
-    order.
+    in). Read classically, ``not a`` in a body is ``a`` in the head, so each
+    folded rule becomes the positive ``(head | neg, pos, 0)``, its own reduct,
+    and ``_has_smaller_model`` decides minimality; canonical rendering order.
     """
     occurring: set[Atom] = set()
     for r in gp.rules:
@@ -810,10 +812,11 @@ def minimal_models(
     # derivability, so only the forced folding applies.
     run = _Run(limits, deadline)
     space = _MaskSpace(gp, occurring, run)
+    rules = [(head | neg, pos, 0) for head, pos, neg in space.rules]
     minimal = [
         space.atoms_of(m)
-        for m in _models((1 << len(space.candidates)) - 1, space.rules, run)
-        if next(_models(m, space.rules + [(0, m, 0)], run), None) is None
+        for m in _models((1 << len(space.candidates)) - 1, rules, run)
+        if not _has_smaller_model(m, rules, run)
     ]
     return sorted(minimal, key=render_interpretation)
 

@@ -1,12 +1,12 @@
-"""One object per ASP system: its options, invocation and output parser.
+"""One object per ASP system: its option syntax, invocation and output parser.
 
-Each system is a subclass of :class:`SolverSpec`; an instance holds the
-options (:class:`OptionDescriptor`) every run gets first, and an external
-system's instance also its executable. External systems are black boxes
-reached through a subprocess that reads the program on its standard input.
-The built-in reference evaluator runs in process
-within the evaluation limits it holds and prints clingo-style text, so the
-clingo parser path is exercised with no binary installed. `aspkit solve`
+Each system is a subclass of :class:`SolverSpec`; an external system's
+instance holds its executable. Options (:class:`OptionDescriptor`, one
+command-line argument each) are added to the ``Handler``, not to the system.
+External systems are black boxes reached through a subprocess that reads
+the program on its standard input. The built-in reference evaluator runs in
+process within the evaluation limits it holds and prints clingo-style text,
+so the clingo parser path is exercised with no binary installed. `aspkit solve`
 reaches every system through these objects, via `Handler`. Witness atoms of
 both output formats are read by `syntax.parse_witness`, one scan per line;
 each parser shares one table of atoms by text across the witnesses of an
@@ -42,34 +42,21 @@ from .syntax import SYMBOL_RE, parse_program, parse_witness
 
 @dataclass(frozen=True, slots=True)
 class OptionDescriptor:
-    """One solver option, already rendered as text.
-
-    ``separator`` splits the text into separate command-line arguments; with
-    the empty separator the option is passed as a single argument, so values
-    containing spaces never leak into neighbouring arguments.
-    """
+    """One solver option, already rendered as text: one command-line argument,
+    so values containing spaces never leak into neighbouring arguments."""
 
     option_text: str
-    separator: str = ""
-
-    def as_args(self) -> list[str]:
-        if not self.separator:
-            return [self.option_text]
-        return [part for part in self.option_text.split(self.separator) if part]
 
 
-@dataclass(frozen=True)
 class SolverSpec(ABC):
     """An ASP system; each subclass is one system.
 
-    A subclass is a dataclass of its own only where it adds a field (the
-    reference system's limits, an external system's executable). Methods
+    A subclass is a dataclass only where it adds a field (the reference
+    system's limits, an external system's executable). Methods
     reach this module's parsers and helpers through their global names at
     run time, never through values bound at import, so a wrapper patched
     onto the module sees every call.
     """
-
-    default_options: tuple[OptionDescriptor, ...] = ()
 
     name: ClassVar[str]
     models_syntax: ClassVar[str]  # the model-count option, formatted with the count
@@ -117,13 +104,13 @@ class ReferenceSystem(SolverSpec):
         """The count of the last model-count option; 0 (all models) without one."""
         cap = 0
         for opt in options:
-            for arg in opt.as_args():
-                if not (arg.isascii() and arg.isdigit()):
-                    raise UnsupportedOption(self.name, opt.option_text)
-                try:
-                    cap = int(arg)
-                except ValueError:  # more digits than int() reads from text
-                    raise UnsupportedOption(self.name, opt.option_text) from None
+            text = opt.option_text
+            if not (text.isascii() and text.isdigit()):
+                raise UnsupportedOption(self.name, text)
+            try:
+                cap = int(text)
+            except ValueError:  # more digits than int() reads from text
+                raise UnsupportedOption(self.name, text) from None
         return cap
 
     def parse_output(self, raw: str) -> AnswerSets:
@@ -152,7 +139,7 @@ class _ExternalSystem(SolverSpec):
     def invoke(self, input_text, options, timeout) -> str:
         """Stdout of a completed run, decoded strictly and with its line ends as written."""
         executable = self.resolve_executable()
-        args = [arg for opt in options for arg in opt.as_args()]
+        args = [opt.option_text for opt in options]
         text = input_text if input_text.endswith("\n") else input_text + "\n"
         encoding = locale.getpreferredencoding(False)  # what text-mode pipes use
         try:
@@ -208,12 +195,12 @@ def reference_solver(limits: EvaluationLimits = DEFAULT_LIMITS) -> SolverSpec:
     return ReferenceSystem(limits=limits)
 
 
-def clingo_solver(executable: str | None = None, default_options=()) -> SolverSpec:
-    return ClingoSystem(executable=executable, default_options=tuple(default_options))
+def clingo_solver(executable: str | None = None) -> SolverSpec:
+    return ClingoSystem(executable=executable)
 
 
-def dlv_solver(executable: str | None = None, default_options=()) -> SolverSpec:
-    return DlvSystem(executable=executable, default_options=tuple(default_options))
+def dlv_solver(executable: str | None = None) -> SolverSpec:
+    return DlvSystem(executable=executable)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import queue
 import stat
 import threading
+from dataclasses import fields
 
 import pytest
 
@@ -24,27 +25,22 @@ def no_env_overrides(monkeypatch):
 
 class TestOptionDescriptor:
     def test_single_argument_by_default(self):
-        assert OptionDescriptor("-filter=a,b").as_args() == ["-filter=a,b"]
-
-    def test_separator_splits_into_arguments(self):
-        assert OptionDescriptor("--models 5", " ").as_args() == ["--models", "5"]
-
-    def test_no_empty_arguments(self):
-        assert OptionDescriptor("--flag  value", " ").as_args() == ["--flag", "value"]
+        assert [f.name for f in fields(OptionDescriptor)] == ["option_text"]
+        assert OptionDescriptor("-filter=a,b").option_text == "-filter=a,b"
 
     def test_options_reach_the_solver_command_line(self, tmp_path):
+        # the fake clingo records its arguments, one per line
         script = make_script(
-            tmp_path,
-            "argecho",
-            'echo "Answer: 1"\necho "args($#)"\necho "SATISFIABLE"\nexit 10\n',
+            tmp_path, "argecho", f'printf "%s\\n" "$@" > "{tmp_path}/argv"\necho SATISFIABLE\n'
         )
-        handler = Handler(clingo_solver(script))
-        handler.add_program("a.")
-        handler.add_option(OptionDescriptor("0"))
-        handler.add_option(OptionDescriptor("--stats level", " "))
-        output = handler.start_sync()
-        # 0, --stats, level, plus `-`, clingo's name for stdin
-        assert "args(4)" in output.raw
+        for options in (["--stats level"], ["--stats", "level"]):
+            handler = Handler(clingo_solver(script))
+            handler.add_program("a.")
+            for option in options:
+                handler.add_option(option)
+            assert handler.start_sync().ok
+            # each option is one argument, spaces included; `-` is clingo's name for stdin
+            assert (tmp_path / "argv").read_text().splitlines() == [*options, "-"]
 
 
 class TestCollections:
@@ -148,6 +144,20 @@ class TestAssembly:
         with pytest.raises(MappingError):
             handler.assemble_input()
 
+    @pytest.mark.parametrize("start", ["assemble_input", "start_sync", "start_async"])
+    def test_records_part_of_other_objects_raises_mapping_error(self, start):
+        handler = Handler(reference_solver())
+        handler.add_program(InputProgram().add_records([{"row": 0, "column": 0, "value": 1}]))
+        delivered: list[Output] = []
+        run = {
+            "assemble_input": handler.assemble_input,
+            "start_sync": handler.start_sync,
+            "start_async": lambda: handler.start_async(delivered.append),
+        }[start]
+        with pytest.raises(MappingError, match="not a mapped record: {'row': 0"):
+            run()
+        assert delivered == []  # assembly fails before any job starts
+
     def test_integer_too_long_to_write_raises_mapping_error(self):
         handler = Handler(reference_solver())
         handler.add_program(InputProgram().add_records([record(CELL, row=1, column=2, value=10**5000)]))
@@ -194,7 +204,7 @@ class TestStartSync:
         "option",
         [
             OptionDescriptor("-n=1"),
-            OptionDescriptor("--stats level", " "),
+            OptionDescriptor("--stats level"),
             OptionDescriptor("1" * 5000),  # more digits than int() reads from text
         ],
     )

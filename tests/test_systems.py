@@ -55,10 +55,10 @@ def no_env_overrides(monkeypatch):
 
 class TestOptionBuilders:
     def test_filter_single(self):
-        assert filter_option(["cell"]).as_args() == ["-filter=cell"]
+        assert filter_option(["cell"]).option_text == "-filter=cell"
 
     def test_filter_join(self):
-        assert filter_option(["a", "b"]).as_args() == ["-filter=a,b"]
+        assert filter_option(["a", "b"]).option_text == "-filter=a,b"
 
     def test_filter_empty(self):
         with pytest.raises(EmptyFilter):
@@ -74,20 +74,20 @@ class TestOptionBuilders:
             filter_option([name])
 
     def test_models_clingo_all(self):
-        assert clingo_solver().models_option(0).as_args() == ["0"]
+        assert clingo_solver().models_option(0).option_text == "0"
 
     def test_models_clingo_one(self):
-        assert clingo_solver().models_option(1).as_args() == ["1"]
+        assert clingo_solver().models_option(1).option_text == "1"
 
     def test_models_dlv(self):
-        assert dlv_solver().models_option(5).as_args() == ["-n=5"]
+        assert dlv_solver().models_option(5).option_text == "-n=5"
 
     @pytest.mark.parametrize(
         "system, args",
         [(reference_solver, ["3"]), (clingo_solver, ["3"]), (dlv_solver, ["-n=3"])],
     )
     def test_each_system_writes_its_own_model_count(self, system, args):
-        assert system().models_option(3).as_args() == args
+        assert [system().models_option(3).option_text] == args
 
     @pytest.mark.parametrize("system", [reference_solver, clingo_solver, dlv_solver])
     def test_negative_model_count(self, system):
@@ -454,14 +454,18 @@ class TestInvocation:
         script = make_script(
             tmp_path, "recorder", f'printf "%s\\n" "$@" > "{tmp_path}/argv"\ncat > "{tmp_path}/stdin"\n'
         )
-        for system, stdin_argument in ((clingo_solver, "-"), (dlv_solver, "--")):
-            handler = Handler(system(script, [OptionDescriptor("--stats level", " ")]))
+        for system, argv in (
+            (clingo_solver, ["--stats", "level", "3", "-"]),
+            (dlv_solver, ["--stats", "level", "-n=3", "--"]),
+        ):
+            handler = Handler(system(script))
+            handler.add_option("--stats")
             handler.add_program("a. b(1).")
+            handler.add_option(OptionDescriptor("level"))
             handler.add_program("c :- a.")
             handler.add_option(system().models_option(3))
             assert handler.start_sync().ok
-            options = ["--stats", "level", *system().models_option(3).as_args()]
-            assert (tmp_path / "argv").read_text().splitlines() == [*options, stdin_argument]
+            assert (tmp_path / "argv").read_text().splitlines() == argv
             assert (tmp_path / "stdin").read_bytes() == handler.assemble_input().encode()
 
 
