@@ -15,17 +15,18 @@ Semantics implemented here, over ground programs:
 Everything is computed over an explicitly bounded candidate space: the facts
 plus any of the ``2^n`` subsets of ``n`` candidate atoms, with
 ``max_candidate_atoms`` capping ``n``. One class, ``_MaskSpace``, builds it
-from a ground program and the atoms it may contain: for ``answer_sets`` the
-head atoms of the relevance grounding, which are exactly its derivable atoms;
-the occurring ones for ``minimal_models``; the checked interpretation for
-``is_answer_set``. Only rules are folded into bit masks; each answer set is
-charged by ``cost`` on its atoms. One backtracking search, ``_models``, drops
-a partial assignment as soon as it violates a rule; it enumerates the space
-and also serves the one minimality check, ``_has_smaller_model``, which
-searches the submasks of a model with that model forbidden after a
-least-model check of the reduct, only when head cycles leave it undecided.
-This module trades speed for being small enough to audit, and doubles as the
-test oracle for the rest of the package.
+from a ground program and the atoms it may contain, in two ways: the head
+atoms of the grounding for answer sets (for the relevance grounding exactly
+its derivable atoms), and the checked interpretation for ``is_answer_set``.
+``minimal_models`` are the answer sets of the rules read classically. Only
+rules are folded into bit masks; each answer set is charged by ``cost`` on
+its atoms. One backtracking search, ``_models``, drops a partial assignment
+as soon as it violates a rule; it enumerates the space and also serves the
+one minimality check, ``_has_smaller_model``, which searches the submasks of
+a model with that model forbidden after a least-model check of the reduct,
+only when head cycles leave it undecided. This module trades speed for being
+small enough to audit, and doubles as the test oracle for the rest of the
+package.
 
 Grounding has two modes. The naive one tries every substitution over the
 universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
@@ -798,27 +799,17 @@ def minimal_models(
     limits: EvaluationLimits = DEFAULT_LIMITS,
     deadline: float | None = None,
 ) -> list[frozenset[Atom]]:
-    """All subset-minimal models of the ground rules, from the backtracking search.
+    """All subset-minimal models of the ground rules, in canonical rendering order.
 
-    Candidates range over every atom occurring in the program (facts forced
-    in). Read classically, ``not a`` in a body is ``a`` in the head, so each
-    folded rule becomes the positive ``(head | neg, pos, 0)``, its own reduct,
-    and ``_has_smaller_model`` decides minimality; canonical rendering order.
+    Read classically, ``not a`` in a body is ``a`` in the head, so each rule
+    becomes the positive ``head | neg :- pos``, which has the same models. The
+    answer sets of a positive disjunctive program are exactly its minimal
+    models (Gelfond & Lifschitz 1991), so these are the answer sets of that
+    reading. Its candidates are its head atoms: an atom in no head is false
+    in every minimal model.
     """
-    occurring: set[Atom] = set()
-    for r in gp.rules:
-        occurring |= r.head | r.pos | r.neg
-    # Everything occurring is a "possible" atom here: plain models need no
-    # derivability, so only the forced folding applies.
-    run = _Run(limits, deadline)
-    space = _MaskSpace(gp, occurring, run)
-    rules = [(head | neg, pos, 0) for head, pos, neg in space.rules]
-    minimal = [
-        space.atoms_of(m)
-        for m in _models((1 << len(space.candidates)) - 1, rules, run)
-        if not _has_smaller_model(m, rules, run)
-    ]
-    return sorted(minimal, key=render_interpretation)
+    positive = tuple(GroundRule(r.head | r.neg, r.pos, _NO_ATOMS) for r in gp.rules)
+    return [s.atoms for s in _answer_sets_of_ground(GroundProgram(positive), limits, deadline)]
 
 
 def is_answer_set(

@@ -19,7 +19,6 @@ from __future__ import annotations
 import locale
 import os
 import re
-import shutil
 import subprocess
 import time
 from abc import ABC, abstractmethod
@@ -128,13 +127,9 @@ class _ExternalSystem(SolverSpec):
     stdin_argument: ClassVar[str]  # the last argument, naming stdin as the input
 
     def resolve_executable(self) -> str:
-        override = os.environ.get(self.env_executable)
-        candidate = override or self.executable or shutil.which(self.name)
-        if not candidate:
-            raise SolverNotFound(
-                f"no {self.name} executable configured (set ${self.env_executable})"
-            )
-        return candidate
+        """The override, else the configured executable, else the system's name,
+        which ``subprocess`` looks up on ``PATH``."""
+        return os.environ.get(self.env_executable) or self.executable or self.name
 
     def invoke(self, input_text, options, timeout) -> str:
         """Stdout of a completed run, decoded strictly and with its line ends as written."""
@@ -153,7 +148,8 @@ class _ExternalSystem(SolverSpec):
             raise SolverTimeout(f"{self.name} exceeded {timeout}s") from exc
         except OSError as exc:
             raise SolverNotFound(
-                f"{self.name} executable {executable!r} cannot be run: {exc}"
+                f"{self.name} executable {executable!r} cannot be run"
+                f" (set ${self.env_executable}): {exc}"
             ) from exc
         except ValueError as exc:  # program text the encoding cannot write, a NUL byte
             raise AspkitError(f"cannot run {self.name}: {exc}") from exc

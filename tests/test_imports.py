@@ -124,3 +124,16 @@ def test_import_does_not_load_uuid():
     ).stdout.split()
     assert "aspkit.orchestration" in added
     assert "uuid" not in added
+
+
+def test_import_does_not_load_shutil():
+    # subprocess finds external solvers on PATH; -S keeps site's own imports out
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); before = set(sys.modules); "
+        "import aspkit; print(*sorted(set(sys.modules) - before))"
+    )
+    added = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.split()
+    assert "aspkit.systems" in added
+    assert "shutil" not in added

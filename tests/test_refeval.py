@@ -325,6 +325,15 @@ class TestMinimalModels:
         with pytest.raises(LimitExceeded):
             minimal_models(gp, EvaluationLimits(max_candidate_atoms=3))
 
+    def test_candidates_are_the_head_atoms_of_the_classical_reading(self):
+        # An atom in no head is false in every minimal model, and `:- not a.`
+        # reads classically as the fact `a.`: neither counts as a candidate.
+        limits = EvaluationLimits(max_candidate_atoms=1)
+        gp = ground_program(parse_program("a :- b, c.", check_safety=False))
+        assert minimal_models(gp, limits) == [frozenset()]
+        gp = ground_program(parse_program(":- not a. b :- a, c.", check_safety=False))
+        assert [atom_names(m) for m in minimal_models(gp, limits)] == [frozenset({"a"})]
+
     def test_limits_must_be_positive(self):
         with pytest.raises(ValueError):
             EvaluationLimits(max_candidate_atoms=0)
