@@ -85,12 +85,14 @@ class SchemaRegistry:
 
     Registration happens up front; afterwards the registry is only read, so
     sharing it across threads is fine. The warning counter tracks skipped
-    translations and is the one piece of mutable state (lock-protected).
+    translations, and the warned signatures let each signature's first skip
+    alone be logged; they are the one mutable state (lock-protected).
     """
 
     def __init__(self, schemas: list[PredicateSchema] | None = None):
         self._schemas: dict[tuple[str, int], PredicateSchema] = {}
         self._warnings = 0
+        self._warned: set[tuple[str, int]] = set()
         self._lock = threading.Lock()
         for s in schemas or []:
             self.register(s)
@@ -109,10 +111,13 @@ class SchemaRegistry:
     def warning_count(self) -> int:
         return self._warnings
 
-    def _warn(self, message: str) -> None:
+    def _warn(self, signature: tuple[str, int], message: str) -> None:
         with self._lock:
             self._warnings += 1
-        log.warning(message)
+            first = signature not in self._warned
+            self._warned.add(signature)
+        if first:
+            log.warning(message)
 
 
 def record(s: PredicateSchema, **values) -> MappedRecord:
@@ -158,12 +163,13 @@ def fact_to_record(reg: SchemaRegistry, atom: Atom) -> MappedRecord | Skipped:
     """Translate a ground atom back into a record.
 
     An atom without a matching schema is skipped: a warning is counted on the
-    registry and the atom stays available to the caller untouched.
+    registry, logged only for the first skip of its signature, and the atom
+    stays available to the caller untouched.
     """
     s = reg.lookup(atom.signature)
     if s is None:
         message = f"no schema registered for {atom.predicate}/{atom.arity}; atom {atom} ignored"
-        reg._warn(message)
+        reg._warn(atom.signature, message)
         return Skipped(atom=atom, message=message)
     values: dict[str, int | str] = {}
     for f in s.fields:

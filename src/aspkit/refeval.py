@@ -21,12 +21,14 @@ its derivable atoms), and the checked interpretation for ``is_answer_set``.
 ``minimal_models`` are the answer sets of the rules read classically. Only
 rules are folded into bit masks; each answer set is charged by ``cost`` on
 its atoms. One backtracking search, ``_models``, drops a partial assignment
-as soon as it violates a rule; it enumerates the space and also serves the
-one minimality check, ``_has_smaller_model``, which searches the submasks of
-a model with that model forbidden after a least-model check of the reduct,
-only when head cycles leave it undecided. This module trades speed for being
-small enough to audit, and doubles as the test oracle for the rest of the
-package.
+as soon as it violates a rule or holds an unsupported atom. It enumerates
+the supported models of the space and also serves the one minimality check,
+``_has_smaller_model``, which searches the submasks of a model with that
+model forbidden after a least-model check of the reduct, only when head
+cycles leave it undecided. The check runs only on programs that are not
+tight: on a tight one the supported models are the answer sets (Fages 1994;
+Lee & Lifschitz 2003). This module trades speed for being small enough to
+audit, and doubles as the test oracle for the rest of the package.
 
 Grounding has two modes. The naive one tries every substitution over the
 universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
@@ -711,24 +713,49 @@ class _MaskSpace:
         return folded
 
 
+def _bits(mask: int):
+    """The one-bit masks of ``mask``, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
 def _models(bits: int, folded, run: _Run, base: int = 0):
-    """Every ``base | sub``, ``sub`` a submask of ``bits``, that satisfies the folded rules.
+    """Every supported ``base | sub``, ``sub`` a submask of ``bits``, that models the rules.
+
+    A bit of ``bits`` is supported when a folded rule with it in the head has
+    a true body and no other head atom true. Answer sets and the minimal
+    models of a reduct are supported: drop an unsupported atom and the rest
+    is still a model of the reduct.
 
     A depth-first search that assigns the bits of ``bits`` from the lowest up.
-    Each rule sits in the bucket of its highest bit inside ``bits`` and is
-    checked as soon as that bit is assigned, so a partial mask that violates
-    it is dropped with every extension. A rule with no bit inside ``bits`` is
-    checked once against ``base``. Full enumeration is ``bits`` all candidates
-    and ``base`` 0; the minimality check searches the submasks of a model.
+    A check ``(pos, out, alternatives)`` fails when ``pos`` is true, ``out``
+    false and no alternative ``(pos, out)`` holds: a rule is a check with no
+    alternatives, a bit's support a check on the bit with one alternative per
+    supporting rule. Each check sits in the bucket of its highest bit inside
+    ``bits`` and runs as soon as that bit is assigned, so a partial mask that
+    fails it is dropped with every extension. A rule with no bit inside
+    ``bits`` is checked once against ``base``. Full enumeration is ``bits``
+    all candidates and ``base`` 0; the minimality check searches the submasks
+    of a model.
     """
     run.start("enumeration")
-    buckets: dict[int, list[tuple[int, int]]] = {}
+    buckets: dict[int, list[tuple]] = {}  # bit -> (pos, out, alternatives) checks
+    support: dict[int, list[tuple[int, int]]] = {bit: [] for bit in _bits(bits)}
     for head, pos, neg in folded:
         inside = (head | pos | neg) & bits
         if inside:
-            buckets.setdefault(1 << inside.bit_length() - 1, []).append((pos, head | neg))
+            buckets.setdefault(1 << inside.bit_length() - 1, []).append((pos, head | neg, ()))
         elif (base & pos) == pos and not (base & (head | neg)):
             return
+        for bit in _bits(head & bits):
+            support[bit].append((pos, (head ^ bit) | neg))
+    for bit, alternatives in support.items():
+        inside = bit
+        for pos, out in alternatives:
+            inside |= (pos | out) & bits
+        buckets.setdefault(1 << inside.bit_length() - 1, []).append((bit, 0, alternatives))
     stack = [(bits, base)]
     tick = run.tick
     while stack:
@@ -738,11 +765,15 @@ def _models(bits: int, folded, run: _Run, base: int = 0):
             yield m
             continue
         bit = rest & -rest
-        rules = buckets.get(bit, ())
+        checks = buckets.get(bit, ())
         for ext in (m | bit, m):
-            for pos, out in rules:
+            for pos, out, alternatives in checks:
                 if (ext & pos) == pos and not (ext & out):
-                    break
+                    for alt_pos, alt_out in alternatives:
+                        if (ext & alt_pos) == alt_pos and not (ext & alt_out):
+                            break
+                    else:
+                        break
             else:
                 stack.append((rest ^ bit, ext))
 
@@ -772,7 +803,9 @@ def _has_smaller_model(m: int, folded, run: _Run) -> bool:
     head-cycle-free programs this is the least-model check (Ben-Eliyahu &
     Dechter 1994) and decides every answer set. Otherwise ``_models`` searches
     the submasks of ``m`` that contain it, with one more rule that forbids
-    ``m`` itself; only head cycles can leave one.
+    ``m`` itself; only head cycles can leave one. Searching only supported
+    submasks loses nothing: a smaller model exists exactly when a minimal
+    one does, and that one is supported.
     """
     reduct = [
         (head, pos, neg)
@@ -844,9 +877,9 @@ def answer_sets(
 
     The program is grounded in relevance mode, so the head atoms of the
     grounding are exactly its derivable atoms. Candidates are their subsets
-    with facts forced in; the search yields those that are models of the
-    grounding, and each is checked to be minimal among the models of its own
-    reduct.
+    with facts forced in; the search yields those that are supported models
+    of the grounding. Unless the program is tight, each is then checked to be
+    minimal among the models of its own reduct.
     """
     gp = ground_program(program, limits, deadline=deadline, relevant=True)
     return _answer_sets_of_ground(gp, limits, deadline)
@@ -859,17 +892,35 @@ def _answer_sets_of_ground(
 ) -> list[AnswerSet]:
     """Answer sets of ``gp``, candidates its head atoms (a superset of the
     derivable ones on any grounding, since no answer set holds an atom no rule
-    derives)."""
+    derives). The search yields supported models, which on tight folded
+    rules are the answer sets; otherwise each is checked to be minimal."""
     run = _Run(limits, deadline)
     space = _MaskSpace(gp, frozenset().union(*(r.head for r in gp.rules)), run)
+    tight = _is_tight(space.rules)
     found = []
     for m in _models((1 << len(space.candidates)) - 1, space.rules, run):
-        if not _has_smaller_model(m, space.rules, run):
+        if tight or not _has_smaller_model(m, space.rules, run):
             atoms = space.atoms_of(m)
             found.append(AnswerSet(atoms=atoms, cost=cost(atoms, gp.weak_constraints)))
 
-    found.sort(key=lambda s: render_interpretation(s.atoms))
+    text = {a: str(a) for a in space.possible}  # each atom's str built once
+    found.sort(key=lambda s: render_interpretation([text[a] for a in s.atoms]))
     return found
+
+
+def _is_tight(folded) -> bool:
+    """No cycle, self-loops included, in the positive dependency graph of the
+    folded rules: an edge from each head bit to each positive body bit."""
+    depends: dict[int, int] = {}
+    for head, pos, _ in folded:
+        for bit in _bits(head):
+            depends[bit] = depends.get(bit, 0) | pos
+    while depends:  # drop the bits that depend on no bit left
+        left = sum(depends)
+        depends = {bit: pos for bit, pos in depends.items() if pos & left}
+        if sum(depends) == left:
+            return False
+    return True
 
 
 def compare_costs(a: dict[int, int], b: dict[int, int]) -> int:

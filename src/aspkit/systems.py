@@ -373,9 +373,10 @@ def render_reference_output(
     """
     lines = ["aspkit reference evaluator", "Solving..."]
     shown = sets if model_cap == 0 else sets[:model_cap]
+    text = {a: str(a) for a in frozenset().union(*(answer.atoms for answer in shown))}
     for index, answer in enumerate(shown, start=1):
         lines.append(f"Answer: {index}")
-        lines.append(" ".join(sorted(str(a) for a in answer.atoms)))
+        lines.append(" ".join(sorted([text[a] for a in answer.atoms])))
         if answer.cost:
             top = max(answer.cost)
             values = [str(answer.cost.get(level, 0)) for level in range(top, -1, -1)]

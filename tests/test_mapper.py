@@ -158,6 +158,18 @@ class TestFactToRecord:
         assert registry.warning_count == before + 1
         assert any("nocell/3" in r.message for r in caplog.records)
 
+    def test_each_signature_is_logged_once_and_every_skip_is_counted(self, caplog):
+        registry = SchemaRegistry([CELL])
+        atoms = [Atom("nocell", (Integer(i), Integer(2), Integer(5))) for i in range(3)]
+        atoms.append(Atom("pos", (Integer(1),)))
+        with caplog.at_level(logging.WARNING, logger="aspkit.mapper"):
+            outcomes = [fact_to_record(registry, atom) for atom in atoms]
+        assert registry.warning_count == 4
+        assert [o.message for o in outcomes] == [
+            f"no schema registered for {a.predicate}/{a.arity}; atom {a} ignored" for a in atoms
+        ]
+        assert [r.message for r in caplog.records] == [outcomes[0].message, outcomes[3].message]
+
     def test_kind_mismatch_on_symbol_term(self):
         registry = SchemaRegistry([CELL])
         with pytest.raises(TermKindMismatch):

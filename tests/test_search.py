@@ -17,7 +17,7 @@ import pytest
 
 from test_grounding import derivable_atoms, random_programs
 
-from aspkit import refeval
+from aspkit import cli, encodings, refeval
 from aspkit.errors import LimitExceeded, SolverTimeout
 from aspkit.refeval import (
     AnswerSet,
@@ -34,6 +34,7 @@ from aspkit.refeval import (
     is_answer_set,
     minimal_models,
     optimal_answer_sets,
+    render_interpretation,
 )
 from aspkit.syntax import Atom, Integer, parse_program
 
@@ -169,6 +170,75 @@ class TestDifferentialSearch:
         reduct = _MaskSpace(gp, only.atoms, _Run()).rules
         assert refeval._must_atoms(0b11, reduct) == 0
         assert not _has_smaller_model(0b11, reduct, _Run())
+
+
+class TestSupportAndTightness:
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The models handed to ``_has_smaller_model``, in call order."""
+        has_smaller_model = refeval._has_smaller_model
+        calls = []
+
+        def spy(m, folded, run):
+            calls.append(m)
+            return has_smaller_model(m, folded, run)
+
+        monkeypatch.setattr(refeval, "_has_smaller_model", spy)
+        return calls
+
+    def test_tight_bundled_encodings_skip_the_minimality_check(self, checked):
+        solved = []
+        for files in encodings.BUNDLES.values():
+            for name, text in files:
+                try:
+                    answer_sets(parse_program(text))
+                except LimitExceeded:
+                    continue
+                solved.append(name)
+        assert len(solved) >= 7, solved
+        assert checked == []
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a | b. a :- b. b :- a.", [["a", "b"]]),
+            ("a :- b. b :- a. a | c.", [["a", "b"], ["c"]]),
+            # a self-loop is a cycle: {a, d} is supported, but not minimal
+            ("c | d. a :- c. a :- a.", [["a", "c"], ["d"]]),
+        ],
+    )
+    def test_positive_cycles_keep_the_minimality_check(self, checked, text, expected):
+        sets = answer_sets(parse_program(text))
+        assert [sorted(map(str, s.atoms)) for s in sets] == expected
+        assert len(checked) >= 1
+
+    def test_the_search_drops_unsupported_atoms(self):
+        gp = ground_program(parse_program("a | b."))
+        space = _MaskSpace(gp, {a for r in gp.rules for a in r.head}, _Run())
+        models = [space.atoms_of(m) for m in _models(0b11, space.rules, _Run())]
+        # {a, b} models the rule, but neither atom is its only true head atom
+        assert sorted(render_interpretation(m) for m in models) == ["{a}", "{b}"]
+
+
+# {ab} sorts before {a}: the key is the whole rendered text, braces included.
+SHARED_PREFIXES = [
+    ("a | ab.", ["{ab}", "{a}"]),
+    ("p(1) | p(1,2).", ["{p(1)}", "{p(1,2)}"]),
+    ("a | ab | b. c | cd :- a.", ["{a, cd}", "{a, c}", "{ab}", "{b}"]),
+]
+
+
+@pytest.mark.parametrize("text, rendered", SHARED_PREFIXES)
+def test_answer_sets_sort_by_their_rendered_text(text, rendered):
+    assert [render_interpretation(s.atoms) for s in answer_sets(parse_program(text))] == rendered
+
+
+@pytest.mark.parametrize("text, rendered", SHARED_PREFIXES)
+def test_solve_prints_sets_by_their_rendered_text(text, rendered, tmp_path, capsys):
+    path = tmp_path / "prog.lp"
+    path.write_text(text)
+    assert cli.main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == rendered
 
 
 # ---------------------------------------------------------------------------
