@@ -4,7 +4,7 @@
 `orchestration.Handler`, so the command line and library callers share one
 pipeline: the solver's text output is parsed by `systems`, and a failed run
 prints `error: <message>`. Sorting, `--optimize`, `-n` and `--filter` then
-act on the parsed sets. Files are joined by `orchestration.assemble`.
+act on the parsed sets. Files are joined by `systems.program_text`.
 
 Exit codes: 0 success (at least one answer set / verdict yes), 10 for "no
 answer set" outcomes, 1 for errors, 2 for usage problems.
@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import encodings, refeval, systems
 from .errors import AspkitError
-from .orchestration import Handler, assemble
+from .orchestration import Handler
 from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits, Verdict
 from .syntax import parse_program, read_program_file
 
@@ -114,15 +113,19 @@ def _limits(args) -> EvaluationLimits:
 
 
 def _program_text(paths) -> str:
-    return assemble(map(Path, paths))
+    return systems.program_text([read_program_file(path) for path in paths])
 
 
-def _print_sets(sets: list[AnswerSet], args) -> None:
+def _print_sets(rendered: list[tuple[str, AnswerSet]], args) -> None:
+    """Print each set's text, or with --filter the text of its projection."""
     filter_names = None if args.filter is None else set(args.filter.split(","))
-    shown = sets if args.models == 0 else sets[: args.models]
-    for answer in shown:
-        atoms = [a for a in answer.atoms if filter_names is None or a.predicate in filter_names]
-        sys.stdout.write(refeval.render_interpretation(atoms) + "\n")
+    shown = rendered if args.models == 0 else rendered[: args.models]
+    for text, answer in shown:
+        if filter_names is not None:
+            text = refeval.render_interpretation(
+                [a for a in answer.atoms if a.predicate in filter_names]
+            )
+        sys.stdout.write(text + "\n")
         if args.optimize:
             pairs = ", ".join(
                 f"{answer.cost[level]}:{level}" for level in sorted(answer.cost, reverse=True)
@@ -142,11 +145,14 @@ def cmd_solve(args) -> int:
     if not output.ok:
         sys.stderr.write(f"error: {output.error.message}\n")
         return EXIT_ERROR
-    sets = sorted(output.answer_sets.sets, key=lambda s: refeval.render_interpretation(s.atoms))
+    sets = output.answer_sets.sets
     if args.optimize:
         sets = refeval.lowest_cost(sets)
-    _print_sets(sets, args)
-    return EXIT_OK if sets else EXIT_NO_ANSWER_SET
+    # Each set's text is built once: the sort key, and the line printed without --filter.
+    rendered = [(refeval.render_interpretation(s.atoms), s) for s in sets]
+    rendered.sort(key=lambda pair: pair[0])
+    _print_sets(rendered, args)
+    return EXIT_OK if rendered else EXIT_NO_ANSWER_SET
 
 
 def cmd_check(args) -> int:

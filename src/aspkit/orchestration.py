@@ -1,8 +1,9 @@
 """Core orchestration: collect programs and options, run a solver, deliver output.
 
 A :class:`Handler` owns input programs and solver options, keyed by stable
-ids, plus the solver object, which holds all that is specific to one system;
-:func:`assemble` joins program parts, for the command line too. Execution is
+ids, plus the solver object, which holds all that is specific to one system.
+Records are mapped to atoms and files read before a run, in the caller;
+:func:`systems.program_text` renders the parts as one text. Execution is
 synchronous (:meth:`Handler.start_sync`) or asynchronous
 (:meth:`Handler.start_async`, which snapshots the handler state, runs on a
 worker thread, and invokes the callback exactly once, also on failure).
@@ -29,7 +30,7 @@ from .errors import (
     SolverTimeout,
 )
 from .mapper import MappedRecord, SchemaRegistry, record_to_fact
-from .syntax import read_program_file
+from .syntax import Atom, read_program_file
 from .systems import AnswerSets, OptionDescriptor, SolverSpec
 
 log = logging.getLogger(__name__)
@@ -129,15 +130,17 @@ class Handler:
 
     # --- assembly ---
 
-    def _snapshot(self) -> tuple[str, list[OptionDescriptor]]:
-        """The assembled program text and the options, in the order they were added."""
+    def _snapshot(self) -> tuple[list[str | tuple[Atom, ...]], list[OptionDescriptor]]:
+        """The program parts as solvers take them and the options, in the order they were added."""
         items = self._items.values()
-        parts = [part for item in items if isinstance(item, InputProgram) for part in item.parts]
+        parts = [_solver_part(part) for item in items if isinstance(item, InputProgram)
+                 for part in item.parts]
         options = [item for item in items if isinstance(item, OptionDescriptor)]
-        return assemble(parts), options
+        return parts, options
 
     def assemble_input(self) -> str:
-        return self._snapshot()[0]
+        """The text an external solver reads on its standard input."""
+        return systems.program_text(self._snapshot()[0])
 
     # --- execution ---
 
@@ -152,11 +155,11 @@ class Handler:
         so assembly problems raise here and later mutation cannot affect the
         job. Solver failures are delivered through the callback's Output.
         """
-        text, options = self._snapshot()
+        parts, options = self._snapshot()
         job_id = str(next(_job_ids))
 
         def run() -> None:
-            output = self._execute(text, options, timeout)
+            output = self._execute(parts, options, timeout)
             try:
                 callback(output)
             except Exception:
@@ -165,10 +168,10 @@ class Handler:
         threading.Thread(target=run, name=f"aspkit-job-{job_id}", daemon=True).start()
         return job_id
 
-    def _execute(self, text: str, options, timeout: float | None) -> Output:
+    def _execute(self, parts, options, timeout: float | None) -> Output:
         raw = ""
         try:
-            raw = systems.invoke_solver(self.solver, text, options, timeout)
+            raw = systems.invoke_solver(self.solver, parts, options, timeout)
             return Output(raw=raw, answer_sets=self.solver.parse_output(raw))
         except AspkitError as exc:
             kind = _FAILURE_KINDS.get(type(exc), "evaluation_error")
@@ -191,24 +194,16 @@ _FAILURE_KINDS = {
 }
 
 
-def assemble(parts) -> str:
-    """Concatenate parts in order, each ending at a line end, so that no comment
-    or statement runs into the next part; mapped records become one fact per line."""
-    chunks: list[str] = []
-    for part in parts:
-        if isinstance(part, str):
-            text = part
-        elif isinstance(part, tuple):
-            for r in part:
-                if not isinstance(r, MappedRecord):
-                    raise MappingError(f"not a mapped record: {r!r}")
-            try:
-                text = "".join([f"{record_to_fact(r.schema, r)}.\n" for r in part])
-            except AspkitError as exc:
-                raise MappingError(str(exc)) from exc
-        else:
-            text = read_program_file(part)
-        chunks.append(text)
-        if text and not text.endswith(("\n", "\r")):
-            chunks.append("\n")
-    return "".join(chunks)
+def _solver_part(part: str | tuple | Path) -> str | tuple[Atom, ...]:
+    """A part as solvers take it: text, or the atom of each mapped record; a file is read."""
+    if isinstance(part, str):
+        return part
+    if isinstance(part, tuple):
+        for r in part:
+            if not isinstance(r, MappedRecord):
+                raise MappingError(f"not a mapped record: {r!r}")
+        try:
+            return tuple([record_to_fact(r.schema, r) for r in part])
+        except AspkitError as exc:
+            raise MappingError(str(exc)) from exc
+    return read_program_file(part)

@@ -3,10 +3,12 @@
 Each system is a subclass of :class:`SolverSpec`; an external system's
 instance holds its executable. Options (:class:`OptionDescriptor`, one
 command-line argument each) are added to the ``Handler``, not to the system.
-External systems are black boxes reached through a subprocess that reads
-the program on its standard input. The built-in reference evaluator runs in
-process within the evaluation limits it holds and prints clingo-style text,
-so the clingo parser path is exercised with no binary installed. `aspkit solve`
+A program reaches a system as parts: text, or a tuple of ground atoms, one
+fact each. External systems are black boxes reached through a subprocess
+that reads :func:`program_text` of the parts on its standard input. The
+built-in reference evaluator runs in process within the evaluation limits it
+holds, parses the text parts only, and prints clingo-style text, so the
+clingo parser path is exercised with no binary installed. `aspkit solve`
 reaches every system through these objects, via `Handler`. Witness atoms of
 both output formats are read by `syntax.parse_witness`, one scan per line;
 each parser shares one table of atoms by text across the witnesses of an
@@ -36,7 +38,7 @@ from .errors import (
     UnsupportedOption,
 )
 from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits
-from .syntax import SYMBOL_RE, parse_program, parse_witness
+from .syntax import SYMBOL_RE, Program, Rule, parse_program, parse_witness
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,8 +69,8 @@ class SolverSpec(ABC):
         return OptionDescriptor(self.models_syntax.format(n))
 
     @abstractmethod
-    def invoke(self, input_text: str, options, timeout) -> str:
-        """Run over program text and return the raw textual output."""
+    def invoke(self, parts, options, timeout) -> str:
+        """Run over program parts (see :func:`program_text`) and return the raw textual output."""
 
     @abstractmethod
     def parse_output(self, raw: str) -> AnswerSets:
@@ -88,10 +90,15 @@ class ReferenceSystem(SolverSpec):
     name = "reference"
     models_syntax = "{}"
 
-    def invoke(self, input_text, options, timeout) -> str:
+    def invoke(self, parts, options, timeout) -> str:
         model_cap = self._model_cap(options)
         deadline = time.monotonic() + timeout if timeout is not None else None
-        program = parse_program(input_text)
+        # Each fact of a records part is parsed as a line holding a space (a bare `\n`
+        # would join a part's closing `\r` into one line end): parse errors keep their places.
+        text = program_text([p if isinstance(p, str) else " \n" * len(p) for p in parts])
+        program = parse_program(text)
+        facts = [Rule((atom,)) for part in parts if isinstance(part, tuple) for atom in part]
+        program = Program(program.rules + tuple(facts), program.weak_constraints)
         sets = refeval.answer_sets(program, self.limits, deadline=deadline)
         return render_reference_output(
             sets,
@@ -131,11 +138,12 @@ class _ExternalSystem(SolverSpec):
         which ``subprocess`` looks up on ``PATH``."""
         return os.environ.get(self.env_executable) or self.executable or self.name
 
-    def invoke(self, input_text, options, timeout) -> str:
+    def invoke(self, parts, options, timeout) -> str:
         """Stdout of a completed run, decoded strictly and with its line ends as written."""
         executable = self.resolve_executable()
         args = [opt.option_text for opt in options]
-        text = input_text if input_text.endswith("\n") else input_text + "\n"
+        text = program_text(parts)
+        text = text if text.endswith("\n") else text + "\n"
         encoding = locale.getpreferredencoding(False)  # what text-mode pipes use
         try:
             proc = subprocess.run(
@@ -351,14 +359,29 @@ def parse_dlv_output(text: str) -> AnswerSets:
 # Invocation
 # ---------------------------------------------------------------------------
 
+def program_text(parts) -> str:
+    """The text of program parts in order: a text part as written, a tuple of
+    ground atoms as one fact per line. A part that does not end in `\n` or
+    `\r` gets a `\n`, so a comment or a name ends with its part; a statement
+    left unfinished goes on into the next part."""
+    chunks: list[str] = []
+    for part in parts:
+        text = part if isinstance(part, str) else "".join([f"{atom}.\n" for atom in part])
+        chunks.append(text)
+        if text and not text.endswith(("\n", "\r")):
+            chunks.append("\n")
+    return "".join(chunks)
+
+
 def invoke_solver(
     spec: SolverSpec,
-    input_text: str,
+    program,
     options=(),
     timeout: float | None = None,
 ) -> str:
-    """Run a solver over program text and return its raw textual output."""
-    return spec.invoke(input_text, options, timeout)
+    """Run a solver over program text, or over parts as :func:`program_text` takes
+    them, and return its raw textual output."""
+    return spec.invoke([program] if isinstance(program, str) else program, options, timeout)
 
 
 def render_reference_output(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import needs_utf8
+from test_systems import SEPARATORS
 
 from aspkit.errors import (
     DuplicateSchema,
@@ -16,6 +17,7 @@ from aspkit.errors import (
     TermKindMismatch,
 )
 from aspkit.mapper import (
+    KINDS,
     MappedRecord,
     PredicateSchema,
     SchemaField,
@@ -341,3 +343,36 @@ class TestRoundTripProperties:
             return
         assert isinstance(outcome, MappedRecord)
         assert registry.warning_count == 0
+
+
+# --- a record's atom equals the fact its text parses back to ---
+
+_quoted_chars = st.one_of(
+    st.sampled_from([" ", "%", "\r", ".", ",", "(", ")", ":", "-", "|", "~", *SEPARATORS]),
+    st.characters(exclude_characters='"\n'),
+)
+_values = {
+    "integer": st.one_of(st.integers(), st.sampled_from([-1, 0, -(10**80), 10**80])),
+    "symbol": st.from_regex(r"[a-z][A-Za-z0-9_]*", fullmatch=True).filter(lambda s: s != "not"),
+    "quoted_string": st.text(_quoted_chars, max_size=12),
+}
+
+
+class TestRecordFactsParseBack:
+    @settings(max_examples=300, deadline=None)
+    @given(st.permutations(list(KINDS)), st.data())
+    def test_atom_equals_the_parsed_fact(self, kinds, data):
+        fields = {kind: (position, kind) for position, kind in enumerate(kinds, start=1)}
+        s = schema("item_1", **fields)
+        r = record(s, **{kind: data.draw(_values[kind], label=kind) for kind in kinds})
+        atom = record_to_fact(s, r)
+        program = parse_program(f"{atom}.")
+        assert program.weak_constraints == ()
+        assert [rule.head for rule in program.rules if rule.is_fact] == [(atom,)]
+        assert len(program.rules) == 1
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_quoted_separators_parse_back(self, sep):
+        s = schema("note", text=(1, "quoted_string"), n=(2, "integer"))
+        atom = record_to_fact(s, record(s, text=f"{sep}50% a{sep}b {sep}", n=-7))
+        assert parse_program(f"{atom}.").facts() == (atom,)

@@ -7,12 +7,13 @@ import pytest
 
 from conftest import make_script
 
-from aspkit import cli
-from aspkit.errors import FileReadError, MappingError
-from aspkit.mapper import SchemaRegistry, record, schema
+from aspkit import cli, systems
+from aspkit.errors import FileReadError, MappingError, ParseError
+from aspkit.mapper import SchemaRegistry, record, record_to_fact, schema
 from aspkit.orchestration import Handler, InputProgram, OptionDescriptor, Output
 from aspkit.refeval import EvaluationLimits
-from aspkit.systems import clingo_solver, reference_solver
+from aspkit.syntax import parse_program
+from aspkit.systems import clingo_solver, dlv_solver, reference_solver
 
 CELL = schema("cell", row=(1, "integer"), column=(2, "integer"), value=(3, "integer"))
 
@@ -128,6 +129,41 @@ class TestAssembly:
         assert handler.assemble_input() == "a\nb.\n"
         assert handler.start_sync().error.kind == "evaluation_error"
 
+    def test_a_statement_left_open_goes_on_into_the_next_part(self):
+        handler = Handler(reference_solver())
+        handler.add_program("a :-")
+        handler.add_program("b. b.")
+        assert handler.assemble_input() == "a :-\nb. b.\n"
+        assert self.solved(handler) == [{"a", "b"}]  # read as `a :- b.` and `b.`
+
+    def test_a_statement_left_open_before_records_goes_on_after_them(self):
+        # The reference evaluator parses the text parts without the records,
+        # so `a :-` reads `b.` as its body; an external solver reads the
+        # assembled text, where the first record's fact is the body.
+        handler = Handler(reference_solver())
+        handler.add_program(
+            InputProgram("a :-").add_records([record(CELL, row=0, column=0, value=1)]).add_text("b.")
+        )
+        assert handler.assemble_input() == "a :-\ncell(0,0,1).\nb.\n"
+        assert self.solved(handler) == [{"cell(0,0,1)"}]
+
+    @pytest.mark.parametrize("after", ["b :- .", "p("])
+    @pytest.mark.parametrize("before", ["", "a.\n", "a.", "a.\r", "a.\r\n", "a. % note"])
+    def test_parse_errors_after_records_keep_their_places(self, before, after):
+        records = [record(CELL, row=r, column=0, value=1) for r in range(3)]
+        handler = Handler(reference_solver())
+        handler.add_program(InputProgram(before).add_records(records).add_text(after))
+        with pytest.raises(ParseError) as expected:
+            parse_program(handler.assemble_input())
+        assert handler.start_sync().error.message == str(expected.value)
+
+    def test_safety_error_index_counts_text_statements_only(self):
+        records = [record(CELL, row=0, column=0, value=1)] * 2
+        handler = Handler(reference_solver())
+        handler.add_program(InputProgram("a.").add_records(records).add_text("p(X) :- not q(X)."))
+        message = handler.start_sync().error.message
+        assert message.startswith("statement 1: unsafe variables")
+
     def test_missing_file(self):
         program = InputProgram()
         program.add_file("/nonexistent/input.lp")
@@ -170,6 +206,62 @@ class TestAssembly:
         handler.add_program(InputProgram().add_records([record(colored, node=1, color="not")]))
         with pytest.raises(MappingError):
             handler.start_sync()
+
+
+NOTE = schema("note", text=(1, "quoted_string"), rank=(2, "integer"))
+
+
+class TestRecordsPath:
+    """Records reach the reference evaluator as atoms, an external solver as text."""
+
+    RECORDS = (
+        *(record(CELL, row=r, column=c, value=r + c) for r in range(2) for c in range(2)),
+        record(CELL, row=0, column=0, value=0),  # a duplicate
+        *(record(NOTE, text=t, rank=-i) for i, t in enumerate(["a b", "50% done", "x\ry"])),
+    )
+
+    @classmethod
+    def program(cls) -> InputProgram:
+        return (
+            InputProgram("value(V) :- cell(_, _, V).\nlow(V) | high(V) :- value(V).")
+            .add_records(cls.RECORDS)
+            .add_text(":- high(0). % last\n:~ high(V), note(_, R). [V:1]")
+        )
+
+    def test_reference_equals_a_run_over_the_assembled_text(self):
+        handler = Handler(reference_solver())
+        handler.add_program(self.program())
+        from_text = Handler(reference_solver())
+        from_text.add_program(handler.assemble_input())
+        output, expected = handler.start_sync(), from_text.start_sync()
+        assert output.ok, output.error
+        assert len(output.answer_sets.sets) == 4
+        assert output.raw == expected.raw
+        assert output.answer_sets == expected.answer_sets
+
+    def test_the_parser_reads_no_record(self, monkeypatch):
+        texts = []
+        original = systems.parse_program
+
+        def spy(text, *args, **kwargs):
+            texts.append(text)
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(systems, "parse_program", spy)
+        handler = Handler(reference_solver())
+        handler.add_program(self.program())
+        assert handler.start_sync().ok
+        [text] = texts
+        assert "value(V)" in text and "% last" in text
+        assert [r for r in self.RECORDS if str(record_to_fact(r.schema, r)) in text] == []
+
+    def test_external_solver_reads_the_assembled_text_on_stdin(self, tmp_path):
+        script = make_script(tmp_path, "recorder", f'cat > "{tmp_path}/stdin"\n')
+        for system in (clingo_solver, dlv_solver):
+            handler = Handler(system(script))
+            handler.add_program(self.program())
+            assert handler.start_sync().ok
+            assert (tmp_path / "stdin").read_bytes() == handler.assemble_input().encode()
 
 
 class TestStartSync:
