@@ -13,6 +13,7 @@ answer set" outcomes, 1 for errors, 2 for usage problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import encodings, refeval, systems
@@ -32,7 +33,9 @@ SOLVERS = {  # each takes the evaluation limits, which only the reference system
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="aspkit",
         description="Answer set programming toolkit",

@@ -18,10 +18,11 @@ plus any of the ``2^n`` subsets of ``n`` candidate atoms, with
 from a ground program and the atoms it may contain, in two ways: the head
 atoms of the grounding for answer sets (for the relevance grounding exactly
 its derivable atoms), and the checked interpretation for ``is_answer_set``.
-``minimal_models`` are the answer sets of the rules read classically. Only
-rules are folded into bit masks; each answer set is charged by ``cost`` on
-its atoms. One backtracking search, ``_models``, drops a partial assignment
-as soon as it violates a rule or holds an unsupported atom. It enumerates
+``minimal_models`` are the answer sets of the rules read classically. The
+facts are forced into every interpretation and only the other rules are
+folded into bit masks; each answer set is charged by ``cost`` on its atoms.
+One backtracking search, ``_models``, drops a partial assignment as soon as
+it violates a rule or holds an unsupported atom. It enumerates
 the supported models of the space and also serves the one minimality check,
 ``_has_smaller_model``, which searches the submasks of a model with that
 model forbidden after a least-model check of the reduct, only when head
@@ -36,6 +37,11 @@ universe; ``aspkit ground`` prints it and ``aspkit check`` uses it. Solving
 the instances whose positive body is derivable, found by a semi-naive join
 against the derivable atoms. The other instances can never fire, so the
 answer sets and costs are the same; the naive mode stays the oracle.
+In both modes the grounder keeps each fact as its atom, apart from the other
+instances (``GroundProgram``): a fact is one unit of work and one kept
+instance, but no rule is built for it unless ``GroundProgram.rules`` is
+read, it enters the join index only when some positive body joins on its
+signature, and it is never folded.
 Limits and the deadline reach every phase through ``_Run``, the only clock reader.
 """
 
@@ -50,8 +56,8 @@ from enum import Enum
 
 from .errors import LimitExceeded, SolverTimeout
 from .syntax import (
-    Atom, Builtin, Integer, Program, Sum, Term, Variable, classify_predicates, operand_terms,
-    render_rule, render_weak,
+    Atom, Builtin, Integer, Program, Rule, Sum, Term, Variable, classify_predicates,
+    operand_terms, render_rule, render_weak,
 )
 
 
@@ -79,8 +85,8 @@ class _Run:
 
     Each phase (grounding, folding, every ``_models`` search) calls ``start``,
     which reads the clock at once; then every 1,024th ``tick`` reads it again.
-    A tick is one substitution or join match, one folded rule or one search
-    node. Past the deadline a read raises ``SolverTimeout`` naming the phase.
+    A tick is one fact, one substitution or join match, one folded rule (facts
+    are not folded) or one search node. Past the deadline a read raises ``SolverTimeout`` naming the phase.
     """
 
     def __init__(self, limits: EvaluationLimits = DEFAULT_LIMITS, deadline: float | None = None):
@@ -136,10 +142,38 @@ def _render_body(pos: frozenset[Atom], neg: frozenset[Atom]) -> list[str]:
     return sorted(str(a) for a in pos) + sorted(f"not {a}" for a in neg)
 
 
-@dataclass(frozen=True)
+_NO_ATOMS: frozenset[Atom] = frozenset()
+
+
 class GroundProgram:
-    rules: tuple[GroundRule, ...] = ()
-    weak_constraints: tuple[GroundWeakConstraint, ...] = ()
+    """Ground rules and ground weak constraints.
+
+    The grounder keeps each fact as its atom, apart from the other rule
+    instances, so solving never builds or folds a rule for a fact.
+    ``rules`` still lists every rule instance, each fact as a ``GroundRule``
+    ahead of the others; those are built when ``rules`` is first read. A
+    program constructed from ``rules`` keeps them all as instances.
+    """
+
+    def __init__(
+        self,
+        rules: tuple[GroundRule, ...] = (),
+        weak_constraints: tuple[GroundWeakConstraint, ...] = (),
+    ):
+        self._facts: tuple[Atom, ...] = ()
+        self._instances = tuple(rules)
+        self.weak_constraints = tuple(weak_constraints)
+
+    @classmethod
+    def _with_facts(cls, facts, instances, weak_constraints) -> GroundProgram:
+        gp = cls(instances, weak_constraints)
+        gp._facts = tuple(facts)
+        return gp
+
+    @functools.cached_property
+    def rules(self) -> tuple[GroundRule, ...]:
+        facts = tuple(GroundRule(frozenset((a,)), _NO_ATOMS, _NO_ATOMS) for a in self._facts)
+        return facts + self._instances
 
 
 @dataclass(frozen=True, eq=True)
@@ -278,23 +312,37 @@ def ground_program(
     closed under the heads of such instances, ignoring negation. Instances
     outside it can never fire, so answer sets and costs do not change.
     ``max_ground_rules`` counts the instances actually kept in either mode.
+
+    Each fact statement, duplicates included, is kept as its atom: one
+    substitution, one tick of the deadline and one kept instance, read once.
+    ``rules`` of the result lists it as a fact rule ahead of the other
+    instances, built on first read.
     """
     universe = sorted(herbrand_universe(program), key=_term_sort_key)
     nconst = len(universe)
+    fact_atoms: list[Atom] = []
+    rules: list[Rule] = []
+    for rule in program.rules:
+        if rule.is_fact:
+            fact_atoms.append(rule.head[0])
+        else:
+            rules.append(rule)
+    statements = (*rules, *program.weak_constraints)
 
+    # Each fact is one substitution.
     substitution_budget = max(2_000_000, _SUBSTITUTION_FACTOR * limits.max_ground_rules)
-    total_subs = 0
-    for stmt in (*program.rules, *program.weak_constraints):
+    total_subs = len(fact_atoms)
+    for stmt in statements:
         total_subs += nconst ** len(stmt.variables())
         if total_subs > substitution_budget:
             break
     if relevant and total_subs > substitution_budget:
         # Per statement a join tries at most the facts of each positive body atom's signature
         # (nconst**arity if a non-fact rule derives it), times nconst per variable left unbound.
-        idb, facts, total_subs = classify_predicates(program).idb, {}, 0
-        for atom in program.facts():
+        idb, facts, total_subs = classify_predicates(program).idb, {}, len(fact_atoms)
+        for atom in fact_atoms:
             facts[atom.signature] = facts.get(atom.signature, 0) + 1
-        for stmt in (*program.rules, *program.weak_constraints):
+        for stmt in statements:
             free, joins = set(stmt.variables()), 1
             for a in stmt.positive_body_atoms():
                 joins *= nconst**a.arity if a.signature in idb else facts.get(a.signature, 0)
@@ -306,26 +354,21 @@ def ground_program(
     run = _Run(limits, deadline)
     out = _Instances(run)
     run.start("grounding")
+    out.add_facts(fact_atoms)
     if relevant:
-        _ground_relevant(program, universe, out)
+        _ground_relevant(rules, program.weak_constraints, universe, out)
     else:
-        for rule in program.rules:
-            if rule.is_fact:
-                out.add_fact(rule.head[0])
-            else:
-                out.add_rules(rule, _all_substitutions(rule, universe), rule.builtins())
+        for rule in rules:
+            out.add_rules(rule, _all_substitutions(rule, universe), rule.builtins())
         for weak in program.weak_constraints:
             out.add_weaks(weak, _all_substitutions(weak, universe), weak.builtins())
-    return GroundProgram(rules=tuple(out.rules), weak_constraints=tuple(out.weaks))
+    return GroundProgram._with_facts(out.facts, out.rules, out.weaks)
 
 
 def _all_substitutions(stmt, universe):
     names = stmt.variables()
     for combo in itertools.product(universe, repeat=len(names)):
         yield dict(zip(names, combo))
-
-
-_NO_ATOMS: frozenset[Atom] = frozenset()
 
 
 class _Instances:
@@ -337,20 +380,25 @@ class _Instances:
 
     def __init__(self, run: _Run):
         self.run = run
+        self.facts: list[Atom] = []
         self.rules: list[GroundRule] = []
         self.weaks: list[GroundWeakConstraint] = []
         self._seen_weaks: set[GroundWeakConstraint] = set()
         self._cache: dict = {}
+        self._kept = 0
 
     def _keep(self, instances: list, instance) -> None:
         instances.append(instance)
-        kept = len(self.rules) + len(self.weaks)
-        if kept > self.run.limits.max_ground_rules:
-            raise LimitExceeded("ground rule instances", kept, self.run.limits.max_ground_rules)
+        self._kept += 1
+        limit = self.run.limits.max_ground_rules
+        if self._kept > limit:
+            raise LimitExceeded("ground rule instances", self._kept, limit)
 
-    def add_fact(self, atom: Atom) -> None:
-        self.run.tick()
-        self._keep(self.rules, GroundRule(head=frozenset((atom,)), pos=_NO_ATOMS, neg=_NO_ATOMS))
+    def add_facts(self, atoms) -> None:
+        """Keep each fact as its atom: one tick and one kept instance apiece."""
+        for atom in atoms:
+            self.run.tick()
+            self._keep(self.facts, atom)
 
     def add_rules(self, rule, subs, builtins) -> None:
         pos_atoms = rule.positive_body_atoms()
@@ -509,16 +557,20 @@ def _assignment(b: Builtin, bound: set[str]):
     return None
 
 
-def _ground_relevant(program: Program, universe: list[Term], out: _Instances) -> None:
+def _ground_relevant(rules, weaks, universe: list[Term], out: _Instances) -> None:
     """Ground only instances whose positive body is derivable (semi-naive).
 
-    Rules with an empty positive body, facts among them, are instantiated
-    once. Rules with heads then run to a fixpoint: in each round a rule joins
-    its positive body against the derivable atoms, with at least one atom new
-    in the last round, so each instance is produced exactly once. Constraints
-    and weak constraints are joined once against the final derivable set.
+    ``out`` already holds the facts; ``rules`` are the other rules. Rules
+    with an empty positive body are instantiated once. Rules with heads then
+    run to a fixpoint: in each round a rule joins its positive body against
+    the derivable atoms, with at least one atom new in the last round, so
+    each instance is produced exactly once. Constraints and weak constraints
+    are joined once against the final derivable set. Only atoms of a
+    signature that some positive body joins on are indexed: no join looks
+    up any other.
     """
     in_universe = frozenset(universe)
+    joined = {a.signature for stmt in (*rules, *weaks) for a in stmt.positive_body_atoms()}
     derivable = _AtomIndex()
     delta_by_sig: dict[tuple[str, int], list[Atom]] = {}
     delta: set[Atom] = set()
@@ -577,15 +629,13 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
     def against_all(stmt):
         return join(_join_plan(stmt, [_ALL] * len(stmt.positive_body_atoms())), 0, {})
 
-    def add_derived(start: int) -> list[Atom]:
-        return derivable.add(a for r in out.rules[start:] for a in r.head)
+    def add_derived(atoms) -> list[Atom]:
+        return derivable.add(a for a in atoms if a.signature in joined)
 
     recursive = []
-    for rule in program.rules:
+    for rule in rules:
         n = len(rule.positive_body_atoms())
-        if rule.is_fact:
-            out.add_fact(rule.head[0])
-        elif rule.head and not n:
+        if rule.head and not n:
             out.add_rules(rule, against_all(rule), ())
         elif rule.head:
             plans = [
@@ -593,7 +643,7 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
                 for i in range(n)
             ]
             recursive.append((rule, plans))
-    new = add_derived(0)
+    new = add_derived(itertools.chain(out.facts, *(r.head for r in out.rules)))
 
     while new:
         delta = set(new)
@@ -605,12 +655,12 @@ def _ground_relevant(program: Program, universe: list[Term], out: _Instances) ->
             for atom, steps in zip(rule.positive_body_atoms(), plans):
                 if atom.signature in delta_by_sig:
                     out.add_rules(rule, join(steps, 0, {}), ())
-        new = add_derived(start)
+        new = add_derived(a for r in out.rules[start:] for a in r.head)
 
-    for rule in program.rules:
+    for rule in rules:
         if not rule.head:
             out.add_rules(rule, against_all(rule), ())
-    for weak in program.weak_constraints:
+    for weak in weaks:
         out.add_weaks(weak, against_all(weak), ())
 
 
@@ -655,24 +705,27 @@ def cost(interpretation: frozenset[Atom], gwcs) -> dict[int, int]:
 class _MaskSpace:
     """The interpretations between the facts of ``gp`` and ``atoms``, as bit masks.
 
-    The facts are forced in and folded away. Every other atom of ``atoms`` is
-    a candidate: bit ``i`` is the ``i``-th in rendering order, and more than
+    The facts are forced in: the grounder's fact atoms and the head of any
+    other fact-shaped instance. Every other atom of ``atoms`` is a candidate:
+    bit ``i`` is the ``i``-th in rendering order, and more than
     ``max_candidate_atoms`` of them raise :class:`LimitExceeded`. For answer
-    sets ``atoms`` are the heads of the relevance grounding, its derivable
-    atoms. ``possible`` is the facts plus the candidates; ``rules`` are the
-    rules of ``gp`` folded into the space (``fold_rules``), in ground order.
+    sets ``atoms`` are the heads of the relevance grounding's instances, its
+    derivable atoms besides the facts. ``possible`` is the facts plus the
+    candidates; ``rules`` are the instances of ``gp`` folded into the space
+    (``fold_rules``), in ground order; the fact atoms are never folded.
     Weak constraints are not folded: ``cost`` charges them on each answer set.
     """
 
     def __init__(self, gp: GroundProgram, atoms, run: _Run):
-        self.forced = frozenset(next(iter(r.head)) for r in gp.rules if r.is_fact)
+        instances = gp._instances
+        self.forced = frozenset(gp._facts).union(*(r.head for r in instances if r.is_fact))
         self.candidates = sorted(set(atoms) - self.forced, key=str)
         limit = run.limits.max_candidate_atoms
         if len(self.candidates) > limit:
             raise LimitExceeded("candidate atoms", len(self.candidates), limit)
         self.possible = self.forced.union(self.candidates)
         self.bit = {atom: 1 << i for i, atom in enumerate(self.candidates)}
-        self.rules = self.fold_rules(gp.rules, run)
+        self.rules = self.fold_rules(instances, run)
 
     def mask_of(self, atoms) -> int:
         m = 0
@@ -895,13 +948,15 @@ def _answer_sets_of_ground(
     derives). The search yields supported models, which on tight folded
     rules are the answer sets; otherwise each is checked to be minimal."""
     run = _Run(limits, deadline)
-    space = _MaskSpace(gp, frozenset().union(*(r.head for r in gp.rules)), run)
+    space = _MaskSpace(gp, frozenset().union(*(r.head for r in gp._instances)), run)
     tight = _is_tight(space.rules)
     found = []
     for m in _models((1 << len(space.candidates)) - 1, space.rules, run):
         if tight or not _has_smaller_model(m, space.rules, run):
             atoms = space.atoms_of(m)
             found.append(AnswerSet(atoms=atoms, cost=cost(atoms, gp.weak_constraints)))
+    if len(found) < 2:
+        return found
 
     text = {a: str(a) for a in space.possible}  # each atom's str built once
     found.sort(key=lambda s: render_interpretation([text[a] for a in s.atoms]))

@@ -472,3 +472,25 @@ class TestSolveOutputPinned:
 
     def test_every_file_and_flag_set_is_pinned(self):
         assert set(SOLVE_DIGESTS) == {(n, f) for n in SOLVE_FILES for f in SOLVE_FLAGS}
+
+
+class TestInProcessCalls:
+    def test_calls_share_one_parser_and_print_the_same(self, tmp_path, capsys):
+        path = tmp_path / "3col-k3.lp"
+        path.write_text(SOLVE_FILES["3col-k3.lp"])
+
+        def solve(*flags):
+            code = cli.main(["solve", *flags, str(path)])
+            return code, capsys.readouterr().out
+
+        cli.build_parser.cache_clear()
+        first = solve()
+        prefix = solve("-n", "1")
+        with pytest.raises(SystemExit) as caught:  # a usage error leaves the parser as it was
+            cli.main(["solve", "-n", "-1", str(path)])
+        assert caught.value.code == 2
+        capsys.readouterr()
+        assert solve() == first
+        assert first[0] == prefix[0] == 0
+        assert first[1].splitlines()[:1] == prefix[1].splitlines()
+        assert cli.build_parser.cache_info().misses == 1

@@ -319,6 +319,50 @@ class TestRelevanceSemantics:
         assert len(ground_program(program, limits, relevant=True).rules) == 4
         assert len(answer_sets(program, limits)) == 1
 
+    @pytest.mark.parametrize(
+        "facts",
+        [
+            ["p(1).", "p(2).", "p(3).", "p(4).", "p(5)."],
+            ["p(1).", "p(1).", "p(2).", "p(2).", "p(3)."],  # a duplicate counts again
+        ],
+    )
+    def test_rule_limit_counts_each_fact(self, facts):
+        limits = EvaluationLimits(max_ground_rules=5)
+        kept = parse_program(" ".join(facts))
+        assert len(ground_program(kept, limits).rules) == 5
+        assert len(ground_program(kept, limits, relevant=True).rules) == 5
+        [only] = answer_sets(kept, limits)
+        assert only.atoms == set(kept.facts())
+        one_more = parse_program(" ".join(facts) + " q.")
+        for solve in (
+            lambda: ground_program(one_more, limits),
+            lambda: ground_program(one_more, limits, relevant=True),
+            lambda: answer_sets(one_more, limits),
+        ):
+            with pytest.raises(LimitExceeded) as caught:
+                solve()
+            assert (caught.value.what, caught.value.count, caught.value.limit) == (
+                "ground rule instances", 6, 5
+            )
+
+    def test_solving_builds_no_rule_for_a_fact(self, monkeypatch):
+        built = []
+        ground_rule = refeval.GroundRule
+
+        def spy(*args, **kwargs):
+            built.append(ground_rule(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(refeval, "GroundRule", spy)
+        facts = "".join(f"p({i}). " for i in range(2000))
+        program = parse_program(facts + "q(X) :- p(X), X < 2.")
+        [only] = answer_sets(program)
+        assert len(only.atoms) == 2002
+        assert len(built) == 2 and not any(r.is_fact for r in built)  # q(0) and q(1)
+        # the facts are still listed as rules, built when first read
+        assert len(ground_program(program, relevant=True).rules) == 2002
+        assert sum(r.is_fact for r in built) == 2000
+
 
 # ---------------------------------------------------------------------------
 # `aspkit ground` and `aspkit check` keep the naive grounding

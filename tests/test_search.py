@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 import types
+from collections import Counter
 
 import pytest
 
-from test_grounding import derivable_atoms, random_programs
+from test_grounding import derivable_atoms, random_programs, relevant_instances
 
 from aspkit import cli, encodings, refeval
 from aspkit.errors import LimitExceeded, SolverTimeout
@@ -32,6 +33,7 @@ from aspkit.refeval import (
     answer_sets,
     ground_program,
     is_answer_set,
+    lowest_cost,
     minimal_models,
     optimal_answer_sets,
     render_interpretation,
@@ -218,6 +220,65 @@ class TestSupportAndTightness:
         models = [space.atoms_of(m) for m in _models(0b11, space.rules, _Run())]
         # {a, b} models the rule, but neither atom is its only true head atom
         assert sorted(render_interpretation(m) for m in models) == ["{a}", "{b}"]
+
+
+# ---------------------------------------------------------------------------
+# Facts, which the grounder keeps as atoms apart from the other instances
+# ---------------------------------------------------------------------------
+
+FACT_SHAPES = {
+    "duplicate facts": "a. a. p(1). p(1). p(2). q(X) :- p(X), not r(X). r(2) | s.",
+    "a fact that is also a rule head": "p(1). p(1) :- p(2). p(2) :- not q. q | t. r(X) :- p(X).",
+    "a fact only in a negative body": "f. a :- not f. b :- not a. c | d :- b.",
+    "a fact only in a weak-constraint body": "w(1). w(2). a | b. :~ a, w(X). [X:0] :~ b, w(2). [4:0]",
+    "facts no body joins on": "r(1,2). r(2,3). s(a). t. a | b. c :- a.",
+    "rules that ground to facts": "p(1) :- 1 = 1. p(2) :- 1 = 2. p(X) :- X = 3. q(X) :- p(X). a | b :- q(3).",
+}
+
+
+def oracle_minimal_models(rules) -> list[frozenset]:
+    """Every subset-minimal classical model of ``rules``, by trying each interpretation."""
+    atoms = sorted({a for r in rules for a in r.head | r.pos | r.neg}, key=str)
+    models = []
+    for picks in itertools.product((False, True), repeat=len(atoms)):
+        interpretation = frozenset(a for a, keep in zip(atoms, picks) if keep)
+        if all(r.head & interpretation or not r.pos <= interpretation or r.neg & interpretation
+               for r in rules):
+            models.append(interpretation)
+    return sorted((m for m in models if not any(o < m for o in models)), key=render_interpretation)
+
+
+class TestFactShapes:
+    @pytest.mark.parametrize("shape", sorted(FACT_SHAPES))
+    def test_solving_matches_the_oracle(self, shape):
+        program = parse_program(FACT_SHAPES[shape])
+        expected = oracle_answer_sets(program)
+        assert expected
+        assert answer_sets(program) == expected
+        assert optimal_answer_sets(program) == lowest_cost(expected)
+
+    @pytest.mark.parametrize("shape", sorted(FACT_SHAPES))
+    def test_relevant_rules_list_every_fact(self, shape):
+        program = parse_program(FACT_SHAPES[shape])
+        gp = ground_program(program, relevant=True)
+        restricted = relevant_instances(program)
+        assert Counter(gp.rules) == Counter(restricted.rules)
+        assert Counter(gp.weak_constraints) == Counter(restricted.weak_constraints)
+        # The same instances handed over as rules solve alike. Every fact-shaped
+        # instance is forced, so the candidates are the other derivable atoms.
+        as_rules = GroundProgram(rules=gp.rules, weak_constraints=gp.weak_constraints)
+        facts = {a for r in gp.rules if r.is_fact for a in r.head}
+        candidates = {a for r in gp.rules for a in r.head} - facts
+        limits = EvaluationLimits(max_candidate_atoms=max(1, len(candidates)))
+        assert _answer_sets_of_ground(as_rules, limits) == answer_sets(program, limits)
+
+    @pytest.mark.parametrize("shape", sorted(FACT_SHAPES))
+    @pytest.mark.parametrize("relevant", [False, True])
+    def test_minimal_models_of_a_grounding_with_facts(self, shape, relevant):
+        gp = ground_program(parse_program(FACT_SHAPES[shape]), relevant=relevant)
+        expected = oracle_minimal_models(gp.rules)
+        assert minimal_models(gp) == expected
+        assert minimal_models(GroundProgram(rules=gp.rules)) == expected
 
 
 # {ab} sorts before {a}: the key is the whole rendered text, braces included.
