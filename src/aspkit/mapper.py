@@ -4,10 +4,17 @@ Schemas are registered explicitly: a schema names a predicate, and for each
 record field the 1-based term position it occupies and the value kind it
 carries. No runtime introspection is involved; a language without reflection
 can express the same mapping this way.
+
+Each schema builds its table of fields (id, term index, kind) once, and both
+directions read it. :func:`records_to_facts` maps a whole part of records in
+one pass and builds each distinct value's term once per call: a sensor name
+or a zone that recurs is checked and built the first time only. Records come
+back from an answer set in the order of their atoms' text.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 from dataclasses import dataclass
@@ -19,6 +26,10 @@ from .syntax import SYMBOL_RE, Atom, Constant, Integer, read_program_file
 log = logging.getLogger(__name__)
 
 KINDS = ("integer", "symbol", "quoted_string")
+_INTEGER, _SYMBOL, _STRING = range(3)  # a field's kind in a schema's table
+_EXACT = (int, str, str)  # per kind, the one value type whose term is interned
+_MISSING = object()
+_new = tuple.__new__  # builds a named tuple without the Python call of its __new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,6 +51,15 @@ class PredicateSchema:
     @property
     def signature(self) -> tuple[str, int]:
         return (self.predicate, len(self.fields))
+
+    @functools.cached_property
+    def _table(self) -> tuple[tuple[str, int, int], ...]:
+        """(field id, 0-based term index, kind) of each field, in declaration order;
+        a kind outside ``KINDS`` reads as a quoted string."""
+        kinds = {"integer": _INTEGER, "symbol": _SYMBOL}
+        return tuple(
+            (f.field_id, f.term_position - 1, kinds.get(f.value_kind, _STRING)) for f in self.fields
+        )
 
     def validate(self) -> None:
         if not SYMBOL_RE.match(self.predicate or ""):
@@ -126,37 +146,60 @@ def record(s: PredicateSchema, **values) -> MappedRecord:
 
 def record_to_fact(s: PredicateSchema, r: MappedRecord) -> Atom:
     """Build the ground atom for a record; terms placed by declared position."""
+    return _fact(s, r.values, None)
+
+
+def records_to_facts(records) -> tuple[Atom, ...]:
+    """The fact of each record, as :func:`record_to_fact` builds it, in one pass.
+
+    A value of exact type ``int`` or ``str`` is checked and its term built the
+    first time it comes as its kind; later records reuse that term. The
+    tables live for this call only. The first record that fails raises.
+    """
+    interned = ({}, {}, {})
+    return tuple([_fact(r.schema, r.values, interned) for r in records])
+
+
+def _fact(s: PredicateSchema, values, interned: tuple[dict, dict, dict] | None) -> Atom:
+    """A record's atom; fields are checked in declaration order, so the
+    first field that fails is the one reported. ``interned`` holds the terms
+    built so far per kind, by value, or is None to build each term anew."""
+    p = s.predicate
     terms: list = [None] * len(s.fields)
-    for f in s.fields:
-        if f.field_id not in r.values:
-            raise FieldKindMismatch(f"{s.predicate}: missing value for field {f.field_id!r}")
-        value = r.values[f.field_id]
-        if f.value_kind == "integer":
+    for field_id, index, kind in s._table:
+        value = values.get(field_id, _MISSING)
+        if value is _MISSING:
+            raise FieldKindMismatch(f"{p}: missing value for field {field_id!r}")
+        exact = interned is not None and type(value) is _EXACT[kind]
+        if exact:
+            term = interned[kind].get(value)
+            if term is not None:
+                terms[index] = term
+                continue
+        if kind == _INTEGER:
             if not isinstance(value, int) or isinstance(value, bool):
-                raise FieldKindMismatch(
-                    f"{s.predicate}.{f.field_id}: expected an integer, got {value!r}"
-                )
+                raise FieldKindMismatch(f"{p}.{field_id}: expected an integer, got {value!r}")
             try:
                 str(value)
             except ValueError:  # more digits than str() writes
                 raise FieldKindMismatch(
-                    f"{s.predicate}.{f.field_id}: integer too long to write as a fact"
+                    f"{p}.{field_id}: integer too long to write as a fact"
                 ) from None
-            term = Integer(value)
-        elif f.value_kind == "symbol":
+            term = _new(Integer, (value,))
+        elif kind == _SYMBOL:
             if not isinstance(value, str) or not SYMBOL_RE.match(value):
                 raise FieldKindMismatch(
-                    f"{s.predicate}.{f.field_id}: expected a symbolic constant, got {value!r}"
+                    f"{p}.{field_id}: expected a symbolic constant, got {value!r}"
                 )
-            term = Constant(value)
+            term = _new(Constant, (value,))
         else:  # quoted_string; stored unquoted, quoted only in the fact
             if not isinstance(value, str) or '"' in value or "\n" in value:
-                raise FieldKindMismatch(
-                    f"{s.predicate}.{f.field_id}: expected a plain string, got {value!r}"
-                )
-            term = Constant(f'"{value}"')
-        terms[f.term_position - 1] = term
-    return Atom(s.predicate, tuple(terms))
+                raise FieldKindMismatch(f"{p}.{field_id}: expected a plain string, got {value!r}")
+            term = _new(Constant, (f'"{value}"',))
+        if exact:
+            interned[kind][value] = term
+        terms[index] = term
+    return _new(Atom, (p, tuple(terms)))
 
 
 def fact_to_record(reg: SchemaRegistry, atom: Atom) -> MappedRecord | Skipped:
@@ -166,43 +209,46 @@ def fact_to_record(reg: SchemaRegistry, atom: Atom) -> MappedRecord | Skipped:
     registry, logged only for the first skip of its signature, and the atom
     stays available to the caller untouched.
     """
-    s = reg.lookup(atom.signature)
+    s = reg.lookup((atom.predicate, len(atom.terms)))
     if s is None:
         message = f"no schema registered for {atom.predicate}/{atom.arity}; atom {atom} ignored"
         reg._warn(atom.signature, message)
         return Skipped(atom=atom, message=message)
+    terms = atom.terms
     values: dict[str, int | str] = {}
-    for f in s.fields:
-        term = atom.terms[f.term_position - 1]
-        if f.value_kind == "integer":
+    for field_id, index, kind in s._table:
+        term = terms[index]
+        if kind == _INTEGER:
             if not isinstance(term, Integer):
                 raise TermKindMismatch(
-                    f"{s.predicate}.{f.field_id}: expected an integer term, got {term}"
+                    f"{s.predicate}.{field_id}: expected an integer term, got {term}"
                 )
-            values[f.field_id] = term.value
-        elif f.value_kind == "symbol":
-            if not isinstance(term, Constant) or term.is_quoted:
+            values[field_id] = term.value
+        elif kind == _SYMBOL:
+            if not isinstance(term, Constant) or term.name.startswith('"'):
                 raise TermKindMismatch(
-                    f"{s.predicate}.{f.field_id}: expected a symbolic constant, got {term}"
+                    f"{s.predicate}.{field_id}: expected a symbolic constant, got {term}"
                 )
-            values[f.field_id] = term.name
+            values[field_id] = term.name
         else:
-            if not isinstance(term, Constant) or not term.is_quoted:
+            if not isinstance(term, Constant) or not term.name.startswith('"'):
                 raise TermKindMismatch(
-                    f"{s.predicate}.{f.field_id}: expected a quoted string, got {term}"
+                    f"{s.predicate}.{field_id}: expected a quoted string, got {term}"
                 )
-            values[f.field_id] = term.unquoted
-    return MappedRecord(schema=s, values=values)
+            values[field_id] = term.name[1:-1]
+    return MappedRecord(s, values)
 
 
 def answer_set_to_records(reg: SchemaRegistry, atoms) -> tuple[list[MappedRecord], int]:
     """Map every atom of an interpretation; returns (records, skipped count).
 
-    Atoms are visited in canonical order so the result is deterministic.
+    Atoms are visited in the order of their text, so the result is
+    deterministic. The sort key is ``Atom.__str__`` called directly: the
+    atom's text built from its terms' values, with no ``str()`` dispatch.
     """
     records: list[MappedRecord] = []
     skipped = 0
-    for atom in sorted(atoms, key=str):
+    for atom in sorted(atoms, key=Atom.__str__):
         outcome = fact_to_record(reg, atom)
         if isinstance(outcome, Skipped):
             skipped += 1

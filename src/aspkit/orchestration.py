@@ -8,7 +8,8 @@ synchronous (:meth:`Handler.start_sync`) or asynchronous
 (:meth:`Handler.start_async`, which snapshots the handler state, runs on a
 worker thread, and invokes the callback exactly once, also on failure).
 Solver-side failures are reported inside :class:`Output`; bad input
-(unmappable records, unreadable files) raises in the caller for both modes.
+(unmappable records, unreadable files, a statement left open just before
+records) raises in the caller for both modes.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .errors import (
     MalformedOutput,
     MappingError,
     NonzeroExit,
+    ParseError,
     SolverNotFound,
     SolverTimeout,
 )
-from .mapper import MappedRecord, SchemaRegistry, record_to_fact
-from .syntax import Atom, read_program_file
+from .mapper import MappedRecord, SchemaRegistry, records_to_facts
+from .syntax import Atom, open_statement_end, read_program_file
 from .systems import AnswerSets, OptionDescriptor, SolverSpec
 
 log = logging.getLogger(__name__)
@@ -133,8 +135,9 @@ class Handler:
     def _snapshot(self) -> tuple[list[str | tuple[Atom, ...]], list[OptionDescriptor]]:
         """The program parts as solvers take them and the options, in the order they were added."""
         items = self._items.values()
-        parts = [_solver_part(part) for item in items if isinstance(item, InputProgram)
-                 for part in item.parts]
+        sources = [part for item in items if isinstance(item, InputProgram) for part in item.parts]
+        parts = [_solver_part(part) for part in sources]
+        _refuse_statements_open_before_records(sources, parts)
         options = [item for item in items if isinstance(item, OptionDescriptor)]
         return parts, options
 
@@ -203,7 +206,29 @@ def _solver_part(part: str | tuple | Path) -> str | tuple[Atom, ...]:
             if not isinstance(r, MappedRecord):
                 raise MappingError(f"not a mapped record: {r!r}")
         try:
-            return tuple([record_to_fact(r.schema, r) for r in part])
+            return records_to_facts(part)
         except AspkitError as exc:
             raise MappingError(str(exc)) from exc
     return read_program_file(part)
+
+
+def _refuse_statements_open_before_records(sources, parts) -> None:
+    """Raise ParseError if the text before a records part ends inside a statement.
+
+    A statement may run on from one text or file part into the next, as
+    every system reads them. But the reference system reads a records part
+    apart from the text, so a statement left open before one would read one
+    way there and another on clingo or DLV. The error names the part (parts
+    are counted from 1 over all input programs) and gives the line and
+    column where the text since the previous records part ends.
+    """
+    start = 0
+    for index, part in enumerate(parts):
+        if not isinstance(part, tuple):
+            continue
+        end = open_statement_end(systems.program_text(parts[start:index]))
+        if end is not None:
+            source = sources[index - 1]
+            name = f"file part {index} ({source})" if isinstance(source, Path) else f"text part {index}"
+            raise ParseError(f"{name} ends inside a statement, before a records part", *end)
+        start = index + 1

@@ -41,7 +41,11 @@ In both modes the grounder keeps each fact as its atom, apart from the other
 instances (``GroundProgram``): a fact is one unit of work and one kept
 instance, but no rule is built for it unless ``GroundProgram.rules`` is
 read, it enters the join index only when some positive body joins on its
-signature, and it is never folded.
+signature, and it is never folded. Facts a ``Program`` holds as atoms (the
+records the reference system is handed) come in the same way, with no rule
+built and no fact test run for them. Naive grounding sorts the universe;
+relevance grounding sorts it only for a statement whose variables range
+over it.
 Limits and the deadline reach every phase through ``_Run``, the only clock reader.
 """
 
@@ -200,13 +204,14 @@ def herbrand_universe(program: Program) -> frozenset[Term]:
     """All constants appearing in the program.
 
     Integers produced by evaluating `+` do not extend the universe; only
-    constants written in the program text count.
+    constants written in the program text count. The terms of the facts a
+    program holds as atoms are read from the atoms, with no rule built.
     """
     terms: set[Term] = set()
-    for rule in program.rules:
+    for rule in program._rules:
         for atom in rule.head:
             terms.update(atom.terms)
-    for stmt in (*program.rules, *program.weak_constraints):
+    for stmt in (*program._rules, *program.weak_constraints):
         for elem in stmt.body:
             if isinstance(elem, Builtin):
                 terms.update(operand_terms(elem.lhs) + operand_terms(elem.rhs))
@@ -214,7 +219,8 @@ def herbrand_universe(program: Program) -> frozenset[Term]:
                 terms.update(elem.atom.terms)
     for weak in program.weak_constraints:
         terms.update((weak.weight, weak.level))
-    return frozenset(t for t in terms if not isinstance(t, Variable))
+    ground = frozenset(t for t in terms if not isinstance(t, Variable))
+    return ground.union(*[atom.terms for atom in program._facts])
 
 
 def herbrand_base(program: Program) -> frozenset[Atom]:
@@ -315,18 +321,24 @@ def ground_program(
 
     Each fact statement, duplicates included, is kept as its atom: one
     substitution, one tick of the deadline and one kept instance, read once.
-    ``rules`` of the result lists it as a fact rule ahead of the other
-    instances, built on first read.
+    The facts a program holds as atoms are taken as they are, after the fact
+    statements. ``rules`` of the result lists each fact as a fact rule ahead
+    of the other instances, built on first read.
+
+    Naive grounding tries the universe in ``_term_sort_key`` order; relevance
+    grounding sorts it only when a statement has variables that range over
+    it, the one step whose instances come in that order.
     """
-    universe = sorted(herbrand_universe(program), key=_term_sort_key)
+    universe = herbrand_universe(program)
     nconst = len(universe)
     fact_atoms: list[Atom] = []
     rules: list[Rule] = []
-    for rule in program.rules:
+    for rule in program._rules:
         if rule.is_fact:
             fact_atoms.append(rule.head[0])
         else:
             rules.append(rule)
+    fact_atoms += program._facts
     statements = (*rules, *program.weak_constraints)
 
     # Each fact is one substitution.
@@ -339,7 +351,8 @@ def ground_program(
     if relevant and total_subs > substitution_budget:
         # Per statement a join tries at most the facts of each positive body atom's signature
         # (nconst**arity if a non-fact rule derives it), times nconst per variable left unbound.
-        idb, facts, total_subs = classify_predicates(program).idb, {}, len(fact_atoms)
+        idb = {atom.signature for rule in rules for atom in rule.head}
+        facts, total_subs = {}, len(fact_atoms)
         for atom in fact_atoms:
             facts[atom.signature] = facts.get(atom.signature, 0) + 1
         for stmt in statements:
@@ -358,6 +371,7 @@ def ground_program(
     if relevant:
         _ground_relevant(rules, program.weak_constraints, universe, out)
     else:
+        universe = sorted(universe, key=_term_sort_key)
         for rule in rules:
             out.add_rules(rule, _all_substitutions(rule, universe), rule.builtins())
         for weak in program.weak_constraints:
@@ -557,7 +571,7 @@ def _assignment(b: Builtin, bound: set[str]):
     return None
 
 
-def _ground_relevant(rules, weaks, universe: list[Term], out: _Instances) -> None:
+def _ground_relevant(rules, weaks, universe: frozenset[Term], out: _Instances) -> None:
     """Ground only instances whose positive body is derivable (semi-naive).
 
     ``out`` already holds the facts; ``rules`` are the other rules. Rules
@@ -567,9 +581,10 @@ def _ground_relevant(rules, weaks, universe: list[Term], out: _Instances) -> Non
     each instance is produced exactly once. Constraints and weak constraints
     are joined once against the final derivable set. Only atoms of a
     signature that some positive body joins on are indexed: no join looks
-    up any other.
+    up any other. Variables no join binds range over the universe in
+    ``_term_sort_key`` order, sorted when first needed.
     """
-    in_universe = frozenset(universe)
+    ordered: list[Term] = []
     joined = {a.signature for stmt in (*rules, *weaks) for a in stmt.positive_body_atoms()}
     derivable = _AtomIndex()
     delta_by_sig: dict[tuple[str, int], list[Atom]] = {}
@@ -614,13 +629,15 @@ def _ground_relevant(rules, weaks, universe: list[Term], out: _Instances) -> Non
         elif kind == "assign":
             _, name, operand = step
             term = _operand_value(operand, sub)
-            if term in in_universe:
+            if term in universe:
                 sub[name] = term
                 yield from join(steps, k + 1, sub)
                 del sub[name]
         else:
             names = step[1]
-            for combo in itertools.product(universe, repeat=len(names)):
+            if not ordered:
+                ordered.extend(sorted(universe, key=_term_sort_key))
+            for combo in itertools.product(ordered, repeat=len(names)):
                 sub.update(zip(names, combo))
                 yield from join(steps, k + 1, sub)
             for name in names:

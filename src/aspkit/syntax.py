@@ -17,13 +17,15 @@ Each term lexeme (symbol, integer, string) is defined once; every pattern
 that reads terms, in programs and in solver witnesses, is built from them.
 
 A solver witness line is read by one scan, one regex match per atom, without
-the tokenizer; the output parsers build each distinct atom text once per
-output. The tokenizer reads only the lines the scan does not read whole, and
-explains the ones it rejects with a line and column.
+the tokenizer; the output parsers build each distinct atom text, and each
+distinct term text, once per output. The tokenizer reads only the lines the
+scan does not read whole, and explains the ones it rejects with a line and
+column.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -107,12 +109,15 @@ class Atom(NamedTuple):
 
     @property
     def is_ground(self) -> bool:
-        return not any(isinstance(t, Variable) for t in self.terms)
+        return Variable not in map(type, self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
             return self.predicate
-        return f"{self.predicate}({','.join([str(t) for t in self.terms])})"
+        try:  # a ground term's text is that of its one field: no __str__ call per term
+            return f"{self.predicate}({','.join([str(t[0]) for t in self.terms])})"
+        except TypeError:  # a Variable is not indexable
+            return f"{self.predicate}({','.join([str(t) for t in self.terms])})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,13 +203,49 @@ class WeakConstraint(_Statement):
         return seen
 
 
-@dataclass(frozen=True, slots=True)
 class Program:
-    rules: tuple[Rule, ...] = ()
-    weak_constraints: tuple[WeakConstraint, ...] = ()
+    """Rules and weak constraints.
+
+    A program may also hold ground atoms as facts beside its rules (the
+    records a solver is handed), so the grounder takes each as its atom, with
+    no rule built and no fact test run for it. ``rules`` still lists every
+    rule, each held fact as a fact rule after the others; those are built
+    when ``rules`` is first read. Programs are equal when their ``rules`` and
+    weak constraints are.
+    """
+
+    def __init__(
+        self,
+        rules: tuple[Rule, ...] = (),
+        weak_constraints: tuple[WeakConstraint, ...] = (),
+    ):
+        self._rules = tuple(rules)
+        self._facts: tuple[Atom, ...] = ()
+        self.weak_constraints = tuple(weak_constraints)
+
+    @classmethod
+    def _with_facts(cls, rules, facts, weak_constraints) -> Program:
+        program = cls(rules, weak_constraints)
+        program._facts = tuple(facts)
+        return program
+
+    @functools.cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        return self._rules + tuple([Rule((atom,)) for atom in self._facts])
 
     def facts(self) -> tuple[Atom, ...]:
-        return tuple(r.head[0] for r in self.rules if r.is_fact)
+        return tuple(r.head[0] for r in self._rules if r.is_fact) + self._facts
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Program):
+            return NotImplemented
+        return self.rules == other.rules and self.weak_constraints == other.weak_constraints
+
+    def __hash__(self) -> int:
+        return hash((self.rules, self.weak_constraints))
+
+    def __repr__(self) -> str:
+        return f"Program(rules={self.rules!r}, weak_constraints={self.weak_constraints!r})"
 
     def __str__(self) -> str:
         return render(self)
@@ -238,10 +279,11 @@ _GROUND_ATOM = rf"{_SYMBOL}\({_ARG}(?:,{_ARG})*\)"
 # One alternative per token kind, tried in order at each position: `:-`,
 # `:~` and the two-character comparisons before their one-character prefixes.
 # `\r\n`, `\r` and `\n` end a line outside quoted strings; a string may hold
-# a `\r`. Only ASCII letters and digits make words and integers; ERROR
-# catches any other character. ATOM is tried before WORD.
+# a `\r`. A run of `\n` is one NEWLINE match, so the blank lines that stand
+# for records cost one match. Only ASCII letters and digits make words and
+# integers; ERROR catches any other character. ATOM is tried before WORD.
 _TOKEN_RE = re.compile(
-    rf"""(?P<NEWLINE>\r\n?|\n)|(?P<SKIP>[ \t]+)|(?P<COMMENT>%[^\r\n]*)
+    rf"""(?P<NEWLINE>\r\n?|\n+)|(?P<SKIP>[ \t]+)|(?P<COMMENT>%[^\r\n]*)
     |(?P<STRING>{_STRING})|(?P<INTEGER>{_INTEGER})
     |(?P<ATOM>{_GROUND_ATOM})
     |(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
@@ -269,18 +311,32 @@ _NEXT_WITNESS_ATOM = {
 _WITNESS_END = re.compile(r"[ \t\r\n]*\Z")
 
 
-def _atom_of(text: str) -> Atom:
+_new = tuple.__new__  # builds a named tuple without the Python call of its __new__
+
+
+def _atom_of(text: str, terms: dict[str, Term]) -> Atom:
     """The Atom of a whole ground atom's text, or of a bare symbol's.
 
+    Each argument is looked up by its text in ``terms``, a table the caller
+    keeps for one program or one output, so a term that recurs is built once.
     Raises ValueError for an integer too long for ``int``.
     """
     paren = text.find("(")
     if paren < 0:
         return Atom(text)
-    return Atom(text[:paren], tuple([
-        Integer(int(i)) if i else Constant(s or w)
-        for i, s, w in _ARG_RE.findall(text, paren + 1)
-    ]))
+    args = text[paren + 1 : -1]
+    # Only a quoted string holds a comma; without one the commas split the arguments.
+    texts = args.split(",") if '"' not in args else [m[0] for m in _ARG_RE.finditer(args)]
+    return _new(Atom, (text[:paren], tuple([terms.get(t) or _term_of(t, terms) for t in texts])))
+
+
+def _term_of(text: str, terms: dict[str, Term]) -> Term:
+    """The term of one argument's text, kept in ``terms``."""
+    if text[0] in "-0123456789":
+        term = terms[text] = _new(Integer, (int(text),))
+    else:
+        term = terms[text] = _new(Constant, (text,))
+    return term
 
 
 class _Token(NamedTuple):
@@ -304,7 +360,7 @@ def _tokenize(text: str, comments: bool = True) -> list[_Token]:
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "NEWLINE":
-            line += 1
+            line += 1 if text[m.start()] == "\r" else m.end() - m.start()
             line_start = m.end()
             continue
         if kind == "SKIP" or (kind == "COMMENT" and comments):
@@ -353,6 +409,7 @@ class _Parser:
         # not collide with any variable written out in the source.
         self.taken_names = {t.value for t in tokens if t.kind == "VARIABLE"}
         self.fresh_counter = 0
+        self.terms: dict[str, Term] = {}  # the arguments of ATOM tokens, by text
 
     # The token list ends in EOF and no grammar rule consumes it, so ``pos``
     # never passes it; ``peek(1)`` only follows an IDENT, which is not EOF.
@@ -460,7 +517,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ATOM":
             try:
-                atom = _atom_of(tok.text)
+                atom = _atom_of(tok.text, self.terms)
             except ValueError:
                 # An integer too long to read: the fine tokens give its position.
                 self.tokens[self.pos : self.pos + 1] = _expand(tok)
@@ -539,23 +596,44 @@ def parse_program(text: str, check_safety: bool = True) -> Program:
     )
 
 
+def open_statement_end(text: str) -> tuple[int, int] | None:
+    """Line and column where ``text`` ends, if it ends inside a statement.
+
+    That is where parsing it runs out of tokens before the statement's
+    closing `.` (a rule) or `]` (a weak constraint). Text that fails to
+    tokenize, or to parse before its end, gives None: the parse of the whole
+    program reports that fault.
+    """
+    try:
+        parser = _Parser(_tokenize(text))
+    except ParseError:
+        return None
+    try:
+        parser.parse_statements()
+    except ParseError:
+        eof = parser.peek()
+        # A weak constraint with a negative weight or level fails at EOF too, after its `]`.
+        if eof.kind == "EOF" and parser.tokens[parser.pos - 1].kind != "RBRACKET":
+            return eof.line, eof.column
+    return None
+
+
 def parse_witness(
-    text: str, line: str, commas: bool, atoms_by_text: dict[str, Atom] | None = None
+    text: str, line: str, commas: bool, tables: tuple[dict, dict] | None = None
 ) -> frozenset[Atom]:
     """Ground atoms of one solver witness.
 
     clingo separates the atoms by whitespace, DLV by commas (``commas``).
-    The witness is read by one scan, one regex match per atom. Each atom is
-    looked up by its text in ``atoms_by_text``, which the output parsers
-    share across the witnesses of one output, so an atom that recurs is built
-    once. A witness the scan does not read whole goes to the program
-    tokenizer, which reads what the scan leaves out (such as whitespace
-    inside an atom) and otherwise raises :class:`MalformedOutput` quoting
-    ``line``, the output line the witness came from, with the position of
-    the fault. A comment is malformed.
+    The witness is read by one scan, one regex match per atom. ``tables``
+    holds the atoms and the terms already built, each by its text; the
+    output parsers share one pair across the witnesses of one output, so an
+    atom or a term that recurs is built once. A witness the scan does not
+    read whole goes to the program tokenizer, which reads what the scan
+    leaves out (such as whitespace inside an atom) and otherwise raises
+    :class:`MalformedOutput` quoting ``line``, the output line the witness
+    came from, with the position of the fault. A comment is malformed.
     """
-    if atoms_by_text is None:
-        atoms_by_text = {}
+    atoms_by_text, terms = ({}, {}) if tables is None else tables
     atoms: list[Atom] = []
     next_atom = _NEXT_WITNESS_ATOM[commas]
     end = 0
@@ -565,7 +643,7 @@ def parse_witness(
         atom = atoms_by_text.get(source)
         if atom is None:
             try:
-                atom = _atom_of(source)
+                atom = _atom_of(source, terms)
             except ValueError:  # an integer too long to read: the tokenizer places it
                 break
             atoms_by_text[source] = atom

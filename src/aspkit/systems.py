@@ -7,13 +7,14 @@ A program reaches a system as parts: text, or a tuple of ground atoms, one
 fact each. External systems are black boxes reached through a subprocess
 that reads :func:`program_text` of the parts on its standard input. The
 built-in reference evaluator runs in process within the evaluation limits it
-holds, parses the text parts only, and prints clingo-style text, so the
-clingo parser path is exercised with no binary installed. `aspkit solve`
-reaches every system through these objects, via `Handler`. Witness atoms of
-both output formats are read by `syntax.parse_witness`, one scan per line;
-each parser shares one table of atoms by text across the witnesses of an
-output, so a recurring atom is built once. Lines the scan cannot read go to
-the program tokenizer, which places the fault.
+holds, parses the text parts only, holds the records' atoms as facts beside
+the parsed rules (``Program``), and prints clingo-style text, so the clingo
+parser path is exercised with no binary installed. `aspkit solve` reaches
+every system through these objects, via `Handler`. Witness atoms of both
+output formats are read by `syntax.parse_witness`, one scan per line; each
+parser shares one table of atoms and one of terms, by text, across the
+witnesses of an output, so a recurring atom or term is built once. Lines
+the scan cannot read go to the program tokenizer, which places the fault.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     UnsupportedOption,
 )
 from .refeval import DEFAULT_LIMITS, AnswerSet, EvaluationLimits
-from .syntax import SYMBOL_RE, Program, Rule, parse_program, parse_witness
+from .syntax import SYMBOL_RE, Program, parse_program, parse_witness
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,12 +94,14 @@ class ReferenceSystem(SolverSpec):
     def invoke(self, parts, options, timeout) -> str:
         model_cap = self._model_cap(options)
         deadline = time.monotonic() + timeout if timeout is not None else None
-        # Each fact of a records part is parsed as a line holding a space (a bare `\n`
+        # Each fact of a records part is parsed as a line end, after a space (a bare `\n`
         # would join a part's closing `\r` into one line end): parse errors keep their places.
-        text = program_text([p if isinstance(p, str) else " \n" * len(p) for p in parts])
+        text = program_text(
+            [p if isinstance(p, str) else (" " + "\n" * len(p) if p else "") for p in parts]
+        )
         program = parse_program(text)
-        facts = [Rule((atom,)) for part in parts if isinstance(part, tuple) for atom in part]
-        program = Program(program.rules + tuple(facts), program.weak_constraints)
+        facts = [atom for part in parts if isinstance(part, tuple) for atom in part]
+        program = Program._with_facts(program.rules, facts, program.weak_constraints)
         sets = refeval.answer_sets(program, self.limits, deadline=deadline)
         return render_reference_output(
             sets,
@@ -262,7 +265,7 @@ def parse_clingo_output(text: str) -> AnswerSets:
     sets: list[AnswerSet] = []
     satisfiable = "unknown"
     optimum_found = False
-    atoms_by_text: dict = {}
+    tables: tuple[dict, dict] = ({}, {})
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -274,7 +277,7 @@ def parse_clingo_output(text: str) -> AnswerSets:
             if i + 1 == len(lines):
                 raise MalformedOutput(line, "answer without a witness line")
             witness = lines[i + 1]
-            atoms = parse_witness(witness, witness, False, atoms_by_text)
+            atoms = parse_witness(witness, witness, False, tables)
             sets.append(AnswerSet(atoms=atoms, cost={}))
             i += 2
             continue
@@ -319,7 +322,7 @@ def parse_dlv_output(text: str) -> AnswerSets:
     sets: list[AnswerSet] = []
     satisfiable = "unknown"
     optimum_found = False
-    atoms_by_text: dict = {}
+    tables: tuple[dict, dict] = ({}, {})
     for line in _output_lines(text):
         stripped = line.strip()
         body = stripped
@@ -329,7 +332,7 @@ def parse_dlv_output(text: str) -> AnswerSets:
         if body.startswith("{"):
             if not body.endswith("}"):
                 raise MalformedOutput(line, "unterminated model line")
-            atoms = parse_witness(body[1:-1], line, True, atoms_by_text)
+            atoms = parse_witness(body[1:-1], line, True, tables)
             sets.append(AnswerSet(atoms=atoms, cost={}))
             satisfiable = "sat"
             continue

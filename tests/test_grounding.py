@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from aspkit import cli, encodings, refeval
+from aspkit import cli, encodings, refeval, syntax
 from aspkit.errors import LimitExceeded, SafetyError, SolverTimeout
 from aspkit.mapper import record, schema
 from aspkit.orchestration import Handler, InputProgram
@@ -29,7 +29,7 @@ from aspkit.refeval import (
     herbrand_universe,
     optimal_answer_sets,
 )
-from aspkit.syntax import Atom, Integer, Variable, parse_program
+from aspkit.syntax import Atom, Integer, Program, Rule, Variable, parse_program
 from aspkit.systems import reference_solver
 
 # ---------------------------------------------------------------------------
@@ -362,6 +362,74 @@ class TestRelevanceSemantics:
         # the facts are still listed as rules, built when first read
         assert len(ground_program(program, relevant=True).rules) == 2002
         assert sum(r.is_fact for r in built) == 2000
+
+
+class TestHeldFacts:
+    """A program may hold facts as atoms; it reads as one with those fact rules last."""
+
+    @staticmethod
+    def split(program: Program) -> tuple[Program, Program]:
+        """(the program with its facts held as atoms, the same with them as rules at the end)."""
+        rules = [r for r in program.rules if not r.is_fact]
+        facts = [r.head[0] for r in program.rules if r.is_fact]
+        held = Program._with_facts(rules, facts, program.weak_constraints)
+        written = Program(rules + [Rule((a,)) for a in facts], program.weak_constraints)
+        return held, written
+
+    def test_held_facts_ground_and_solve_as_fact_rules(self):
+        limits = TestDifferential.LIMITS
+        compared = 0
+        for seed in (21, 22):
+            for _, program in random_programs(seed, 200):
+                held, written = self.split(program)
+                assert held == written and hash(held) == hash(written)
+                assert held.rules == written.rules and held.facts() == written.facts()
+                assert herbrand_universe(held) == herbrand_universe(written)
+                outcomes = []
+                for p in (held, written):
+                    try:
+                        outcomes.append((
+                            [r.render() for r in ground_program(p, limits).rules],
+                            Counter(ground_program(p, limits, relevant=True).rules),
+                            answer_sets(p, limits),
+                        ))
+                    except LimitExceeded as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
+                compared += isinstance(outcomes[0], tuple)
+        assert compared >= 250
+
+    def test_solving_builds_no_rule_for_a_held_fact(self, monkeypatch):
+        built, tested = [], []
+
+        def spy(*args, **kwargs):
+            built.append(Rule(*args, **kwargs))
+            return built[-1]
+
+        facts = [Atom("p", (Integer(i),)) for i in range(2000)]
+        program = Program._with_facts(parse_program("q(X) :- p(X), X < 2.").rules, facts, ())
+        monkeypatch.setattr(syntax, "Rule", spy)
+        is_fact = Rule.is_fact.fget
+        monkeypatch.setattr(Rule, "is_fact", property(lambda r: tested.append(r) or is_fact(r)))
+        [only] = answer_sets(program)
+        assert len(only.atoms) == 2002
+        assert built == [] and len(tested) == 1  # the written rule alone is tested
+        assert len(program.rules) == 2001 and len(built) == 2000  # listed when first read
+
+    @pytest.mark.parametrize("text, sorts", [
+        ("p(X) :- q(X). q(b). q(a).", False),
+        ("p(X) :- not q(X). q(b). r(a).", True),
+    ])
+    def test_the_solve_path_sorts_the_universe_only_for_a_product(self, text, sorts, monkeypatch):
+        calls = []
+        key = refeval._term_sort_key
+        monkeypatch.setattr(refeval, "_term_sort_key", lambda t: calls.append(t) or key(t))
+        program = parse_program(text, check_safety=False)
+        answer_sets(program)
+        assert bool(calls) == sorts
+        calls.clear()
+        ground_program(program)
+        assert len(calls) == len(herbrand_universe(program))  # naive grounding sorts it
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ string may hold a `\\r`. The same text therefore reads the same from a file,
 from `InputProgram.add_text` and from the command line.
 """
 
+import random
+
 import pytest
 
 from conftest import needs_utf8
@@ -101,3 +103,17 @@ class TestSolverOutputLineEnds:
         parsed = parse_clingo_output("Answer: 1\r\np q\r\nSATISFIABLE\r\n")
         assert [sorted(map(str, s.atoms)) for s in parsed.sets] == [["p", "q"]]
         assert parsed.satisfiable == "sat"
+
+
+def test_runs_of_line_ends_count_each_line():
+    # A run of `\n` is one token; every line end in it still counts, and
+    # `\r\n` counts once wherever it meets a run.
+    rng = random.Random(5)
+    for _ in range(500):
+        ends = [rng.choice(["\n", "\n", "\r", "\r\n", " \n", "% c\n"]) for _ in range(rng.randrange(1, 12))]
+        text = "a." + "".join(ends) + "b :- ."
+        lines = 1 + sum(end != "\r" or not following.startswith("\n")
+                        for end, following in zip(ends, ends[1:] + [""]))
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.column) == (lines, 6), repr(text)

@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from aspkit.mapper import (
     parse_schema_manifest,
     record,
     record_to_fact,
+    records_to_facts,
     schema,
 )
 from aspkit.refeval import answer_sets
@@ -238,6 +240,115 @@ class TestAnswerSetToRecords:
         }
         records, _ = answer_set_to_records(registry, atoms)
         assert [r.values["row"] for r in records] == [0, 1]
+
+
+    @pytest.mark.parametrize("texts", [
+        ["a", "ab", "a_", "aB"],
+        ["p(1)", "p(1,2)", "p(12)", "p(1,12)", "p(2)", "p"],
+        ["p(-1)", "p(-12)", "p(-2)", "p(0)", "p(1)"],
+        ['n("a b")', 'n("a,b")', 'n("a)")', 'n("a")', 'n("a",1)', 'n("")', 'n_(a)'],
+    ])
+    def test_records_come_in_the_order_of_the_atom_text(self, texts):
+        # Every atom maps to a record whose one value is the atom's text, so
+        # the records show the order in which the atoms were visited.
+        schemas = {}
+        atoms = []
+        for text in texts:
+            [atom] = parse_program(f"{text}.").facts()
+            atoms.append(atom)
+            schemas[atom.signature] = PredicateSchema(atom.predicate, tuple(
+                SchemaField(f"f{i}", i, "integer" if isinstance(t, Integer) else
+                            "quoted_string" if t.is_quoted else "symbol")
+                for i, t in enumerate(atom.terms, start=1)
+            ))
+        registry = SchemaRegistry(list(schemas.values()))
+        for order in (atoms, atoms[::-1], sorted(atoms)):
+            records, skipped = answer_set_to_records(registry, frozenset(order))
+            assert skipped == 0
+            rendered = [str(record_to_fact(r.schema, r)) for r in records]
+            assert rendered == [str(a) for a in sorted(set(atoms), key=str)]
+
+
+class TestRecordsToFacts:
+    """A part mapped in one pass equals record_to_fact record by record."""
+
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    SCHEMAS = (
+        schema("reading", id=(1, "integer"), sensor=(2, "symbol"), value=(3, "integer")),
+        schema("sensor", zone=(2, "quoted_string"), name=(1, "symbol")),
+        schema("tag", label=(2, "symbol"), note=(1, "quoted_string"), rank=(3, "integer")),
+    )
+
+    def values(self, rng: random.Random, kind: str, bad: bool):
+        """A value of the kind, or with ``bad`` one that may fail its check."""
+        good = {
+            "integer": [0, 7, -3, 10**30, self.Count(5), 7],
+            "symbol": ["s1", "zone_b", self.Name("s1"), "s1", "aB9"],
+            "quoted_string": ["Hall", "a b", "x,y)", "", self.Name("Hall"), "Hall"],
+        }[kind]
+        wrong = {
+            "integer": [True, False, "7", 7.0, None, 10 ** (sys.get_int_max_str_digits() + 1)],
+            "symbol": ["not", "S1", "1a", "a b", "", 3, self.Name("Not"), True],
+            "quoted_string": ['say "hi"', "two\nlines", 3, None, True],
+        }[kind]
+        return rng.choice(wrong if bad else good)
+
+    def part(self, rng: random.Random, bad_rate: float) -> list[MappedRecord]:
+        records = []
+        for _ in range(rng.randrange(1, 30)):
+            s = rng.choice(self.SCHEMAS)
+            values = {f.field_id: self.values(rng, f.value_kind, rng.random() < bad_rate)
+                      for f in s.fields}
+            if rng.random() < bad_rate / 4:
+                del values[rng.choice(s.fields).field_id]
+            records.append(MappedRecord(s, values))
+        return records
+
+    @staticmethod
+    def outcome(mapping):
+        try:
+            return mapping()
+        except Exception as exc:
+            return (type(exc), str(exc))
+
+    def test_a_part_maps_as_its_records_do(self):
+        mapped = failed = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            part = self.part(rng, bad_rate=rng.choice([0.0, 0.02, 0.1, 0.3]))
+            one_by_one = self.outcome(lambda: tuple(record_to_fact(r.schema, r) for r in part))
+            in_one_pass = self.outcome(lambda: records_to_facts(part))
+            assert in_one_pass == one_by_one, seed
+            if isinstance(one_by_one[0], Atom):
+                assert [str(a) for a in in_one_pass] == [str(a) for a in one_by_one], seed
+                mapped += 1
+            else:
+                failed += 1
+        assert mapped > 100 and failed > 100
+
+    def test_the_first_field_declared_is_the_first_reported(self):
+        # `note` is declared before `label`, but `label` holds the first term.
+        tag = self.SCHEMAS[2]
+        assert [f.field_id for f in tag.fields] == ["label", "note", "rank"]
+        bad = MappedRecord(tag, {"label": "Bad", "note": 'a "quote"', "rank": 1})
+        message = "tag.label: expected a symbolic constant, got 'Bad'"
+        for mapping in (lambda: record_to_fact(tag, bad), lambda: records_to_facts([bad])):
+            with pytest.raises(FieldKindMismatch, match=re.escape(message)):
+                mapping()
+
+    def test_a_value_checked_for_one_kind_is_checked_again_for_another(self):
+        both = schema("both", a=(1, "symbol"), b=(2, "quoted_string"), c=(3, "integer"))
+        facts = records_to_facts([record(both, a="x", b="x", c=1), record(both, a="y", b="y", c=1)])
+        assert [str(f) for f in facts] == ['both(x,"x",1)', 'both(y,"y",1)']
+        with pytest.raises(FieldKindMismatch, match=re.escape("both.c: expected an integer, got True")):
+            records_to_facts([record(both, a="x", b="x", c=1), record(both, a="x", b="x", c=True)])
+        with pytest.raises(FieldKindMismatch, match="both.a: expected a symbolic constant"):
+            records_to_facts([record(both, a="x", b="x y", c=1), record(both, a="x y", b="x", c=1)])
 
 
 class TestManifest:

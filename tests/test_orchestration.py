@@ -1,4 +1,5 @@
 import queue
+import random
 import stat
 import threading
 from dataclasses import fields
@@ -136,16 +137,75 @@ class TestAssembly:
         assert handler.assemble_input() == "a :-\nb. b.\n"
         assert self.solved(handler) == [{"a", "b"}]  # read as `a :- b.` and `b.`
 
-    def test_a_statement_left_open_before_records_goes_on_after_them(self):
-        # The reference evaluator parses the text parts without the records,
-        # so `a :-` reads `b.` as its body; an external solver reads the
-        # assembled text, where the first record's fact is the body.
-        handler = Handler(reference_solver())
+    @pytest.mark.parametrize("system", ["reference", "clingo", "dlv"])
+    @pytest.mark.parametrize("start", ["assemble_input", "start_sync", "start_async"])
+    def test_a_statement_left_open_before_records_is_refused(self, system, start):
+        # The reference evaluator would read `a :- b.`, clingo and DLV
+        # `a :- cell(0,0,1). b.`: every system refuses it, before any run.
+        handler = Handler({
+            "reference": reference_solver(),
+            "clingo": clingo_solver("/nonexistent/clingo"),
+            "dlv": dlv_solver("/nonexistent/dlv"),
+        }[system])
         handler.add_program(
             InputProgram("a :-").add_records([record(CELL, row=0, column=0, value=1)]).add_text("b.")
         )
-        assert handler.assemble_input() == "a :-\ncell(0,0,1).\nb.\n"
-        assert self.solved(handler) == [{"cell(0,0,1)"}]
+        delivered: list[Output] = []
+        run = {
+            "assemble_input": handler.assemble_input,
+            "start_sync": handler.start_sync,
+            "start_async": lambda: handler.start_async(delivered.append),
+        }[start]
+        with pytest.raises(ParseError) as refused:
+            run()
+        assert str(refused.value) == "2:1: text part 1 ends inside a statement, before a records part"
+        assert delivered == []
+
+    @pytest.mark.parametrize("texts, message", [
+        (["p :- q,", "r,"], "3:1: text part 2 ends inside a statement"),
+        (["a.", "p :- q\n% note"], "4:1: text part 2 ends inside a statement"),
+        (["a. b", ""], "2:1: text part 2 ends inside a statement"),
+        ([":~ q."], "2:1: text part 1 ends inside a statement"),
+        ([":~ q. [1:"], "2:1: text part 1 ends inside a statement"),
+    ])
+    def test_the_refusal_names_the_last_part_before_the_records(self, texts, message):
+        handler = Handler(reference_solver())
+        program = InputProgram()
+        for text in texts:
+            program.add_text(text)
+        handler.add_program(program.add_records([record(CELL, row=0, column=0, value=1)]))
+        with pytest.raises(ParseError, match=f"^{message}, before a records part$"):
+            handler.assemble_input()
+
+    def test_a_file_part_left_open_before_records_is_refused_across_programs(self, tmp_path):
+        source = tmp_path / "open.lp"
+        source.write_text("a :- b,\n")
+        handler = Handler(reference_solver())
+        handler.add_program(InputProgram("b.").add_file(source))
+        handler.add_program(InputProgram().add_records([record(CELL, row=0, column=0, value=1)]))
+        with pytest.raises(ParseError, match=rf"^3:1: file part 2 \({source}\) ends inside"):
+            handler.start_sync()
+
+    @pytest.mark.parametrize("before", [
+        "", "a.", "a. % note", ":~ q. [1:1]", "a :-\nb.", "% only a comment",
+    ])
+    def test_statements_closed_before_records_are_read(self, before):
+        handler = Handler(reference_solver())
+        handler.add_program(
+            InputProgram(before).add_records([record(CELL, row=0, column=0, value=1)]).add_text("c.")
+        )
+        assert handler.start_sync().ok
+
+    @pytest.mark.parametrize("before", ["a :- .", ":~ q. [-1:0]", "a :- b. ]"])
+    def test_text_malformed_before_records_gets_its_own_parse_error(self, before):
+        handler = Handler(reference_solver())
+        handler.add_program(
+            InputProgram(before).add_records([record(CELL, row=0, column=0, value=1)]).add_text("c.")
+        )
+        with pytest.raises(ParseError) as expected:
+            parse_program(before)
+        message = handler.start_sync().error.message
+        assert message.endswith(f": {expected.value.message}")
 
     @pytest.mark.parametrize("after", ["b :- .", "p("])
     @pytest.mark.parametrize("before", ["", "a.\n", "a.", "a.\r", "a.\r\n", "a. % note"])
@@ -262,6 +322,56 @@ class TestRecordsPath:
             handler.add_program(self.program())
             assert handler.start_sync().ok
             assert (tmp_path / "stdin").read_bytes() == handler.assemble_input().encode()
+
+
+class TestOneReading:
+    """The reference system reads the parts as it reads their assembled text."""
+
+    TEXTS = [
+        "", "a.", "a :-", "b :- a", ".", "c(1).", ":~ a. [1:0]", ":~ c(X). [X:1]", "% note",
+        "p(", "b", "a :- not b.", "d :- cell(0,0,1).", "x(X) :- not y.", '"open', "e | f.",
+    ]
+    ENDINGS = ["", "\n", "\r", "\r\n", " % end", " % end\n"]
+    RECORDS = [(), (record(CELL, row=0, column=0, value=1),),
+               tuple(record(CELL, row=r, column=0, value=r % 2) for r in range(3))]
+
+    @staticmethod
+    def reading(handler) -> tuple:
+        output = handler.start_sync()
+        if output.ok:
+            return ("sets", [sorted(map(str, s.atoms)) for s in output.answer_sets.sets])
+        return ("error", output.error.kind)
+
+    def test_parts_read_as_their_assembled_text(self, tmp_path):
+        rng = random.Random(20)
+        compared = refused = 0
+        for index in range(1_500):
+            program = InputProgram()
+            for _ in range(rng.randrange(1, 5)):
+                kind = rng.random()
+                if kind < 0.35:
+                    program.add_records(rng.choice(self.RECORDS))
+                    continue
+                text = rng.choice(self.TEXTS) + rng.choice(self.ENDINGS)
+                if kind < 0.85:
+                    program.add_text(text)
+                else:
+                    path = tmp_path / f"part{index}-{len(program.parts)}.lp"
+                    path.write_bytes(text.encode())
+                    program.add_file(path)
+            handler = Handler(reference_solver())
+            handler.add_program(program)
+            try:
+                text = handler.assemble_input()
+            except ParseError as exc:
+                assert "ends inside a statement, before a records part" in str(exc)
+                refused += 1
+                continue
+            from_text = Handler(reference_solver())
+            from_text.add_program(text)
+            assert self.reading(handler) == self.reading(from_text), program.parts
+            compared += 1
+        assert compared > 900 and refused > 100
 
 
 class TestStartSync:

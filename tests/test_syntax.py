@@ -609,6 +609,42 @@ def test_witness_scan_reads_like_the_tokenizer_loop(commas):
     assert read > 2_000 and failed > 2_000
 
 
+# One value as an integer, a symbol and a quoted string, and a symbol as an atom.
+_SHARED_TEXT_ATOMS = [
+    "a", "p(1)", "p(01)", "p(-1)", "p(-0)", "p(0)", "p(a)", 'p("1")', 'p("a")', 'p("-1")',
+    'q(a,1,"a")', 'q("1",a,-1)', 'q(1,"a",a)', 'p("a,1")', 'p("1)")', "p(a1)", "a1",
+]
+
+
+@pytest.mark.parametrize("commas", [False, True])
+def test_terms_shared_across_witnesses_read_like_the_tokenizer_loop(commas):
+    rng = random.Random(31 + commas)
+    tables = ({}, {})  # shared, as the output parsers share them over one output
+    pool = _SHARED_TEXT_ATOMS + _WITNESS_ATOMS[:12]
+    for _ in range(3_000):
+        text = rng.choice(["", " "])
+        for index in range(rng.randrange(1, 6)):
+            text += (", " if commas else " ") * bool(index) + rng.choice(pool)
+        scanned = _outcome(lambda: parse_witness(text, text, commas, tables))
+        expected = _outcome(lambda: syntax._parse_witness_tokens(text, text, commas))
+        assert scanned == expected, text
+        if scanned[0] == "ok":
+            kinds = {str(a): [type(t) for t in a.terms] for a in scanned[1]}
+            assert kinds == {str(a): [type(t) for t in a.terms] for a in expected[1]}
+    assert len(tables[1]) > 10
+
+
+def test_an_atom_holding_a_variable_anywhere_is_not_ground():
+    terms = [Constant("a"), Integer(1), Constant('"x y"')]
+    assert Atom("p").is_ground and Atom("p", tuple(terms)).is_ground
+    for position in range(len(terms) + 1):
+        held = (*terms[:position], Variable("X"), *terms[position:])
+        atom = Atom("p", held)
+        assert not atom.is_ground
+        assert not Rule((atom,)).is_fact
+        assert str(atom) == "p(" + ",".join(map(str, held)) + ")"
+
+
 def test_witness_scan_peak_memory_stays_near_its_result():
     line = " ".join(f'reading({i},s{i % 40}x4,"v{i}",{i * 7})' for i in range(2_500))
     tracemalloc.start()
