@@ -886,11 +886,7 @@ def _has_smaller_model(m: int, folded, run: _Run) -> bool:
     if must == m:
         return False
     free = m & ~must
-    # A reduct rule with no atom in ``free`` holds in every submask that
-    # contains ``must``: its body holds in ``m``, so its head meets the model
-    # ``m``, and that atom lies in ``must``. Only the other rules are searched.
-    rules = [r for r in reduct if (r[0] | r[1] | r[2]) & free]
-    return next(_models(free, rules + [(0, free, 0)], run, must), None) is not None
+    return next(_models(free, reduct + [(0, free, 0)], run, must), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -467,14 +467,19 @@ class _Parser:
         body = self.parse_body()
         self.expect("DOT")
         self.expect("LBRACKET")
-        weight = self.parse_term()
+        weight = self.parse_cost_term()
         self.expect("COLON")
-        level = self.parse_term()
+        level = self.parse_cost_term()
         self.expect("RBRACKET")
-        for term in (weight, level):
-            if isinstance(term, Integer) and term.value < 0:
-                raise self.error("weak constraint weight and level must be non-negative")
         return WeakConstraint(body=body, weight=weight, level=level)
+
+    def parse_cost_term(self) -> Term:
+        """A weight or level; a negative integer is refused at its own token."""
+        term = self.parse_term()
+        if isinstance(term, Integer) and term.value < 0:
+            self.pos -= 1  # back to the integer: every parse error stands at the next token
+            raise self.error("weak constraint weight and level must be non-negative")
+        return term
 
     def parse_body(self) -> tuple[BodyElement, ...]:
         elems = [self.parse_body_element()]
@@ -612,8 +617,7 @@ def open_statement_end(text: str) -> tuple[int, int] | None:
         parser.parse_statements()
     except ParseError:
         eof = parser.peek()
-        # A weak constraint with a negative weight or level fails at EOF too, after its `]`.
-        if eof.kind == "EOF" and parser.tokens[parser.pos - 1].kind != "RBRACKET":
+        if eof.kind == "EOF":
             return eof.line, eof.column
     return None
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import criterion, external_clingo
-from test_systems import CLINGO_EXPECTED, DLV_EXPECTED
+from corpus import CLINGO_EXPECTED, DLV_EXPECTED
 
 from aspkit import encodings
 from aspkit.errors import InvalidSchema

@@ -9,11 +9,12 @@ as enumeration over the naive grounding.
 from __future__ import annotations
 
 import hashlib
-import random
 import time
 from collections import Counter
 
 import pytest
+
+from oracles import derivable_atoms, random_programs, relevant_instances
 
 from aspkit import cli, encodings, refeval, syntax
 from aspkit.errors import LimitExceeded, SafetyError, SolverTimeout
@@ -22,7 +23,6 @@ from aspkit.orchestration import Handler, InputProgram
 from aspkit.refeval import (
     DEFAULT_LIMITS,
     EvaluationLimits,
-    GroundProgram,
     _answer_sets_of_ground,
     answer_sets,
     ground_program,
@@ -32,84 +32,6 @@ from aspkit.refeval import (
 from aspkit.syntax import Atom, Integer, Program, Rule, Variable, parse_program
 from aspkit.systems import reference_solver
 
-# ---------------------------------------------------------------------------
-# Random non-ground programs
-# ---------------------------------------------------------------------------
-
-CONSTANTS = ("0", "1", "2", "a", "b")
-PREDICATES = (("p", 1), ("q", 1), ("r", 2), ("s", 2), ("t", 0))
-VARIABLES = ("X", "Y", "Z")
-
-
-def _term(rng: random.Random, pool, p_var: float) -> str:
-    return rng.choice(pool) if pool and rng.random() < p_var else rng.choice(CONSTANTS)
-
-
-def _atom(rng: random.Random, pool=VARIABLES, p_var: float = 0.7) -> str:
-    name, arity = rng.choice(PREDICATES)
-    if arity == 0:
-        return name
-    return f"{name}({','.join(_term(rng, pool, p_var) for _ in range(arity))})"
-
-
-def _body(rng: random.Random, safe: bool, bound: list[str], min_positive: int = 1) -> list[str]:
-    """Body literals; with ``safe`` every other variable comes from the positive atoms.
-
-    ``bound`` receives the variables a safe body binds, for heads and weights.
-    """
-    positive = [_atom(rng) for _ in range(rng.randint(min_positive, 2))]
-    bound[:] = [v for v in VARIABLES if any(v in a for a in positive)] if safe else VARIABLES
-    elems = list(positive)
-    if rng.random() < 0.5:
-        elems.append("not " + _atom(rng, bound))
-    if rng.random() < 0.4 and bound:
-        b = rng.choice(bound)
-        free = [v for v in VARIABLES if v not in bound] if safe else VARIABLES
-        kind = rng.choice(("!=", "<", "plus"))
-        if kind == "plus" and free:
-            a = rng.choice([v for v in free if v != b] or free)
-            elems.append(f"{a} = {b}+1")
-            bound.append(a)
-        elif kind != "plus":
-            others = [v for v in bound if v != b]
-            elems.append(f"{_term(rng, others, 0.6)} {kind} {b}")
-    rng.shuffle(elems)
-    return elems
-
-
-def random_program_text(rng: random.Random, safe: bool) -> str:
-    """Facts, disjunctive rules, constraints and weak constraints.
-
-    Unsafe programs also get rules with no positive body atom and variables
-    that only a head, a negative literal or a builtin mentions, so those range
-    over the whole universe.
-    """
-    lines = [f"{_atom(rng, p_var=0)}." for _ in range(rng.randint(2, 7))]
-    bound: list[str] = []
-    for _ in range(rng.randint(1, 4)):
-        body = _body(rng, safe, bound, min_positive=1 if safe else 0)
-        head = " | ".join(_atom(rng, bound) for _ in range(rng.choice((1, 2))))
-        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
-    for _ in range(rng.randint(0, 2)):
-        lines.append(f":- {', '.join(_body(rng, safe, bound))}.")
-    for _ in range(rng.randint(0, 2)):
-        body = _body(rng, safe, bound)
-        weight = _term(rng, bound, 0.6)
-        level = _term(rng, bound, 0.4)
-        lines.append(f":~ {', '.join(body)}. [{weight}:{level}]")
-    return "\n".join(lines)
-
-
-def random_programs(seed: int, count: int):
-    """``count`` parsed programs; about a quarter parsed with check_safety=False."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        safe = rng.random() >= 0.25
-        text = random_program_text(rng, safe)
-        out.append((text, parse_program(text, check_safety=safe)))
-    return out
-
 
 def _is_unsafe(text: str) -> bool:
     try:
@@ -117,29 +39,6 @@ def _is_unsafe(text: str) -> bool:
     except SafetyError:
         return True
     return False
-
-
-def derivable_atoms(rules) -> set[Atom]:
-    """Least set closed under the heads of rules whose positive body it contains."""
-    derivable: set[Atom] = set()
-    grown = True
-    while grown:
-        grown = False
-        for r in rules:
-            if r.pos <= derivable and not r.head <= derivable:
-                derivable |= r.head
-                grown = True
-    return derivable
-
-
-def relevant_instances(program, limits=DEFAULT_LIMITS) -> GroundProgram:
-    """The naive instances whose positive body is derivable, in naive order."""
-    naive = ground_program(program, limits)
-    derivable = derivable_atoms(naive.rules)
-    return GroundProgram(
-        rules=tuple(r for r in naive.rules if r.pos <= derivable),
-        weak_constraints=tuple(w for w in naive.weak_constraints if w.pos <= derivable),
-    )
 
 
 BUNDLED = ("THREE_COL_K3", "THREE_COL_K4", "RAMSEY_N3", "RAMSEY_N9", "SUDOKU_TOY", "DLVFIT_FRAGMENT")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import needs_utf8
-from test_systems import SEPARATORS
+from corpus import SEPARATORS
 
 from aspkit.errors import (
     DuplicateSchema,

@@ -1,27 +1,32 @@
 """The backtracking model search and the least-model minimality check.
 
-The oracle below calls no enumeration or minimality code of ``refeval``: it
-tries every interpretation with ``itertools.product`` over the atoms of the
-naive grounding, checks each against the rules itself, and checks minimality
-by trying every proper subset against the reduct. ``answer_sets`` must return
-exactly its sets, costs and order.
+The oracle (``oracles.oracle_answer_sets``) calls no enumeration or
+minimality code of ``refeval``: it tries every interpretation with
+``itertools.product`` over the atoms of the naive grounding, checks each
+against the rules itself, and checks minimality by trying every proper subset
+against the reduct. ``answer_sets`` must return exactly its sets, costs and
+order.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import types
 from collections import Counter
 
 import pytest
 
-from test_grounding import derivable_atoms, random_programs, relevant_instances
+from oracles import (
+    oracle_answer_sets,
+    oracle_minimal_models,
+    random_programs,
+    random_propositional_text,
+    relevant_instances,
+)
 
 from aspkit import cli, encodings, refeval
 from aspkit.errors import LimitExceeded, SolverTimeout
 from aspkit.refeval import (
-    AnswerSet,
     EvaluationLimits,
     GroundProgram,
     GroundRule,
@@ -39,79 +44,6 @@ from aspkit.refeval import (
     render_interpretation,
 )
 from aspkit.syntax import Atom, Integer, parse_program
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _satisfied(rule, interpretation) -> bool:
-    body = rule.pos <= interpretation and not (rule.neg & interpretation)
-    return bool(rule.head & interpretation) or not body
-
-
-def oracle_answer_sets(program) -> list[AnswerSet]:
-    gp = ground_program(program)
-    facts = frozenset(next(iter(r.head)) for r in gp.rules if r.is_fact)
-    # Answer-set atoms are derivable ignoring negation; a rule with an
-    # underivable positive body atom is satisfied by every such candidate.
-    derivable = derivable_atoms(gp.rules)
-    rules = [r for r in gp.rules if r.pos <= derivable]
-    free = sorted(derivable - facts, key=str)
-
-    found = []
-    for picks in itertools.product((False, True), repeat=len(free)):
-        interpretation = facts | {a for a, keep in zip(free, picks) if keep}
-        if not all(_satisfied(r, interpretation) for r in rules):
-            continue
-        reduct = [r for r in rules if r.pos <= interpretation and not (r.neg & interpretation)]
-        # A subset without some fact violates that fact, which is in the reduct.
-        extra = sorted(interpretation - facts, key=str)
-        subsets = (
-            facts | set(sub) for k in range(len(extra)) for sub in itertools.combinations(extra, k)
-        )
-        if any(all(r.head & s or not r.pos <= s for r in reduct) for s in subsets):
-            continue
-        totals: dict[int, int] = {}
-        for w in set(gp.weak_constraints):
-            if w.pos <= interpretation and not (w.neg & interpretation):
-                totals[w.level] = totals.get(w.level, 0) + w.weight
-        cost = {level: weight for level, weight in totals.items() if weight}
-        found.append(AnswerSet(atoms=frozenset(interpretation), cost=cost))
-    found.sort(key=lambda s: "{" + ", ".join(sorted(map(str, s.atoms))) + "}")
-    return found
-
-
-# ---------------------------------------------------------------------------
-# Seeded propositional programs
-# ---------------------------------------------------------------------------
-
-
-def _literals(rng: random.Random, names: str, count: int) -> list[str]:
-    return [("not " if rng.random() < 0.35 else "") + rng.choice(names) for _ in range(count)]
-
-
-def random_propositional_text(rng: random.Random) -> str:
-    """Disjunctive rules, `not`, constraints, positive head cycles, weak constraints."""
-    names = "abcdefg"[: rng.randint(3, 7)]
-    lines = []
-    for _ in range(rng.randint(1, 7)):
-        head = " | ".join(rng.sample(names, rng.choice((0, 1, 1, 2, 2, 3))))
-        body = ", ".join(_literals(rng, names, rng.randint(0, 3)))
-        if head and body:
-            lines.append(f"{head} :- {body}.")
-        elif head or body:
-            lines.append(f"{head}." if head else f":- {body}.")
-    if rng.random() < 0.4:
-        # a | b. a :- b. b :- a.  (or a three-atom loop), sometimes guarded
-        cycle = rng.sample(names, rng.choice((2, 3)))
-        guard = f" :- {rng.choice(names)}" if rng.random() < 0.3 else ""
-        lines.append(f"{cycle[0]} | {cycle[1]}{guard}.")
-        lines += [f"{cycle[(i + 1) % len(cycle)]} :- {cycle[i]}." for i in range(len(cycle))]
-    for _ in range(rng.randint(0, 3)):
-        body = ", ".join(_literals(rng, names, rng.randint(1, 2)))
-        lines.append(f":~ {body}. [{rng.randint(0, 3)}:{rng.randint(0, 2)}]")
-    return "\n".join(lines)
 
 
 class TestDifferentialSearch:
@@ -149,17 +81,18 @@ class TestDifferentialSearch:
         assert fallback["taken"] > fallback["accepted"]
 
     def test_non_ground_programs_match_the_oracle(self):
+        # The oracle picks its programs by its own size, so an evaluator that
+        # reaches further does not hand it larger ones; the evaluator has no
+        # more candidates than the oracle has free atoms, or this raises.
         limits = EvaluationLimits(max_candidate_atoms=10)
         compared = 0
         mismatches = []
         for text, program in random_programs(31, 300):
-            try:
-                got = answer_sets(program, limits)
-                expected = oracle_answer_sets(program)
-            except LimitExceeded:
+            expected = oracle_answer_sets(program, max_free_atoms=10)
+            if expected is None:
                 continue
             compared += 1
-            if got != expected:
+            if answer_sets(program, limits) != expected:
                 mismatches.append(text)
         assert mismatches == []
         assert compared >= 250
@@ -234,18 +167,6 @@ FACT_SHAPES = {
     "facts no body joins on": "r(1,2). r(2,3). s(a). t. a | b. c :- a.",
     "rules that ground to facts": "p(1) :- 1 = 1. p(2) :- 1 = 2. p(X) :- X = 3. q(X) :- p(X). a | b :- q(3).",
 }
-
-
-def oracle_minimal_models(rules) -> list[frozenset]:
-    """Every subset-minimal classical model of ``rules``, by trying each interpretation."""
-    atoms = sorted({a for r in rules for a in r.head | r.pos | r.neg}, key=str)
-    models = []
-    for picks in itertools.product((False, True), repeat=len(atoms)):
-        interpretation = frozenset(a for a, keep in zip(atoms, picks) if keep)
-        if all(r.head & interpretation or not r.pos <= interpretation or r.neg & interpretation
-               for r in rules):
-            models.append(interpretation)
-    return sorted((m for m in models if not any(o < m for o in models)), key=render_interpretation)
 
 
 class TestFactShapes:

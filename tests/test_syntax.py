@@ -25,6 +25,7 @@ from aspkit.syntax import (
     _expand,
     _tokenize,
     classify_predicates,
+    open_statement_end,
     parse_program,
     parse_witness,
     render,
@@ -68,6 +69,17 @@ class TestParsing:
     def test_weak_constraint_negative_weight_is_a_parse_error(self):
         with pytest.raises(ParseError, match="weight and level must be non-negative"):
             parse_program(":~ a. [-1:0]")
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [(":~ a. [-1:0]", 8), (":~ a. [0: -2]", 11), (":~ a. [-1", 8), ("a.\n:~ a. [-1:0]", 8)],
+    )
+    def test_negative_weight_or_level_is_reported_at_its_own_term(self, text, column):
+        with pytest.raises(ParseError, match="weight and level must be non-negative") as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.column) == (text.count("\n") + 1, column)
+        # the parse stops before EOF, so the text does not end inside a statement
+        assert open_statement_end(text) is None
 
     def test_weak_constraint_variable_annotation(self):
         program = parse_program(":~ optimize(A, W, P), activity_to_do(A, _). [W:P]")
