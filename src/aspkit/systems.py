@@ -8,13 +8,15 @@ fact each. External systems are black boxes reached through a subprocess
 that reads :func:`program_text` of the parts on its standard input. The
 built-in reference evaluator runs in process within the evaluation limits it
 holds, parses the text parts only, holds the records' atoms as facts beside
-the parsed rules (``Program``), and prints clingo-style text, so the clingo
-parser path is exercised with no binary installed. `aspkit solve` reaches
-every system through these objects, via `Handler`. Witness atoms of both
-output formats are read by `syntax.parse_witness`, one scan per line; each
-parser shares one table of atoms and one of terms, by text, across the
-witnesses of an output, so a recurring atom or term is built once. Lines
-the scan cannot read go to the program tokenizer, which places the fault.
+the parsed rules (``Program``), and prints clingo-style text that carries the
+answer sets it shows, so its output is not parsed back; the clingo parser is
+pinned by the fixture corpus and by a differential against that carried
+output. `aspkit solve` reaches every system through these objects, via
+`Handler`. Witness atoms of both output formats are read by
+`syntax.parse_witness`, one scan per line; each parser shares one table of
+atoms and one of terms, by text, across the witnesses of an output, so a
+recurring atom or term is built once. Lines the scan cannot read go to the
+program tokenizer, which places the fault.
 """
 
 from __future__ import annotations
@@ -225,6 +227,14 @@ class AnswerSets:
             raise MalformedOutput("", "optimum claimed without any witness")
 
 
+class _ReferenceOutput(str):
+    """Reference output text carrying the answer sets it shows, which
+    :func:`parse_clingo_output` returns as they are. Text made from it
+    (``str()``, concatenation, a join) is a plain ``str`` and is parsed."""
+
+    answer_sets: AnswerSets
+
+
 # ---------------------------------------------------------------------------
 # Option builders
 # ---------------------------------------------------------------------------
@@ -259,8 +269,12 @@ def parse_clingo_output(text: str) -> AnswerSets:
     (empty for the empty model; output that ends at the header is
     malformed), `Optimization:` lines (values are per-level totals, highest
     level first, lowest level last), the SATISFIABLE/UNSATISFIABLE/UNKNOWN
-    verdict, and `OPTIMUM FOUND`. Unrecognized lines are ignored.
+    verdict, and `OPTIMUM FOUND`. Unrecognized lines are ignored. The
+    reference system's own output object carries its sets and is not read;
+    any other text, text made from that output included, is parsed.
     """
+    if type(text) is _ReferenceOutput:
+        return text.answer_sets
     lines = _output_lines(text)
     sets: list[AnswerSet] = []
     satisfiable = "unknown"
@@ -392,24 +406,32 @@ def render_reference_output(
     has_weak_constraints: bool = False,
     model_cap: int = 0,
 ) -> str:
-    """Clingo-style text for reference results; parse_clingo_output inverts it.
+    """Clingo-style text for reference results, carrying the answer sets and
+    verdict that parse_clingo_output reads back from the same text.
 
     Cost vectors print one total per level from the highest level down to
     level 0, matching the positional convention of the parser.
     """
     lines = ["aspkit reference evaluator", "Solving..."]
     shown = sets if model_cap == 0 else sets[:model_cap]
-    text = {a: str(a) for a in frozenset().union(*(answer.atoms for answer in shown))}
+    atom_text = str
+    if len(shown) > 1:  # an atom may recur across sets: build its text once
+        atoms = frozenset().union(*(answer.atoms for answer in shown))
+        atom_text = {a: str(a) for a in atoms}.__getitem__
     for index, answer in enumerate(shown, start=1):
         lines.append(f"Answer: {index}")
-        lines.append(" ".join(sorted([text[a] for a in answer.atoms])))
+        lines.append(" ".join(sorted(map(atom_text, answer.atoms))))
         if answer.cost:
             top = max(answer.cost)
             values = [str(answer.cost.get(level, 0)) for level in range(top, -1, -1)]
             lines.append("Optimization: " + " ".join(values))
     lines.append("SATISFIABLE" if sets else "UNSATISFIABLE")
+    optimum_found = False
     if has_weak_constraints:
         optimal = refeval.lowest_cost(sets)
-        if any(answer in optimal for answer in shown):
+        optimum_found = any(answer in optimal for answer in shown)
+        if optimum_found:
             lines.append("OPTIMUM FOUND")
-    return "\n".join(lines) + "\n"
+    output = _ReferenceOutput("\n".join(lines) + "\n")
+    output.answer_sets = AnswerSets(tuple(shown), "sat" if sets else "unsat", optimum_found)
+    return output

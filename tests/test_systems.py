@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import make_script
 from corpus import CLINGO_EXPECTED, DLV_EXPECTED, SEPARATORS, answer, atoms_of
+from oracles import random_programs, random_propositional_text
 
+from aspkit import encodings, systems
 from aspkit.errors import (
     EmptyFilter,
+    LimitExceeded,
     MalformedOutput,
     NonzeroExit,
     SolverNotFound,
@@ -296,6 +300,68 @@ class TestReferenceSolver:
             optimum_found=bool(sets and program.weak_constraints),
         )
         assert parsed == expected
+
+
+def reference_outputs():
+    """Rendered reference output of the oracle programs at model caps 0, 1 and 2;
+    programs the default limits refuse are left out."""
+    rng = random.Random(5150)
+    programs = [program for _, program in random_programs(4242, 600)]
+    programs += [parse_program(random_propositional_text(rng)) for _ in range(1500)]
+    for program in programs:
+        try:
+            sets = answer_sets(program)
+        except LimitExceeded:
+            continue
+        for cap in (0, 1, 2):
+            yield render_reference_output(sets, bool(program.weak_constraints), cap)
+
+
+class TestCarriedAnswerSets:
+    """Reference output carries the sets its text shows; the parser reads the text alike."""
+
+    def test_carried_sets_equal_the_parsed_text(self):
+        compared = 0
+        mismatches = []
+        for raw in reference_outputs():
+            compared += 1
+            if parse_clingo_output(raw) != parse_clingo_output(str(raw)):
+                mismatches.append(str(raw))
+        assert mismatches == []
+        assert compared >= 6000
+
+    def test_handler_output_carries_what_its_text_shows(self):
+        note = schema("note", text=(1, "quoted_string"))
+        records = InputProgram().add_records(record(note, text=f"a{sep}b") for sep in SEPARATORS)
+        programs = [text for files in encodings.BUNDLES.values() for _, text in files]
+        solved = 0
+        for program in [*programs, records]:
+            handler = Handler(reference_solver())
+            handler.add_program(program)
+            output = handler.start_sync()
+            if not output.ok and " exceeds limit " in output.error.message:
+                continue
+            assert output.ok, output.error
+            assert output.raw == str(output.raw)
+            assert output.answer_sets == parse_clingo_output(str(output.raw))
+            solved += 1
+        assert solved >= 8
+
+    def test_only_the_rendered_output_skips_the_parse(self, monkeypatch):
+        witnesses = []
+
+        def counting(*args, _original=systems.parse_witness):
+            witnesses.append(args[0])
+            return _original(*args)
+
+        monkeypatch.setattr(systems, "parse_witness", counting)
+        raw = render_reference_output(answer_sets(parse_program("a | b.")))
+        assert parse_clingo_output(raw) is parse_clingo_output(raw)
+        assert witnesses == []
+        for derived in (str(raw), raw + "", "".join([raw]), raw[:], f"{raw}"):
+            assert type(derived) is str
+            assert parse_clingo_output(derived) == parse_clingo_output(raw)
+        assert witnesses == ["a", "b"] * 5
 
 
 import shutil
